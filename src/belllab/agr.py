@@ -1,25 +1,30 @@
 """Stochastic two-channel-polarizer coincidence experiment.
 
-Each emitted pair draws an outcome pair (+,+), (+,-), (-,+), (-,-) from the
-Born probabilities at the (possibly misaligned) analyzer orientations; each
-side then records its outcome with probability ``efficiency`` and only pairs
-recorded on both sides enter the coincidence tallies.  The experimental
-correlation estimator is
+Each emitted pair yields an outcome pair (+,+), (+,-), (-,+), (-,-) from the
+Born probabilities at the analyzer orientations; each side then records its
+outcome with probability ``efficiency`` and only pairs recorded on both sides
+enter the coincidence tallies.  The experimental correlation estimator is
 
     E = (R++ + R-- - R+- - R-+) / (R++ + R-- + R+- + R-+)
 
 and S = E(a,b) - E(a,b') + E(a',b) + E(a',b') combines the four runs.
 
-Misalignment is a pointing error: each side's effective orientation is the
-nominal one rotated by an angle drawn from N(0, sigma) about a uniformly
-random transverse axis.  Averaged over pairs this damps every correlation by
-exactly exp(-sigma^2), which is how a lab-like S below the ideal value is
-produced (uniform detection inefficiency alone leaves E unbiased under fair
-sampling; it only widens the error bars).
+Misalignment is a pointing error per pair: each side's effective orientation
+is the nominal one rotated by an angle drawn from N(0, sigma) about a
+uniformly random transverse axis, independently per side and per pair.  The
+Born probabilities are affine in each side's orientation and the mean
+orientation is exp(-sigma^2/2) times the nominal one, so every pair's outcome
+is an independent draw from the probabilities at the shortened orientations.
+The run is therefore sampled exactly with one multinomial draw over those
+mean probabilities, at a cost that does not grow with the number of pairs.
+Every correlation is damped by exactly exp(-sigma^2), which is how a lab-like
+S below the ideal value is produced (uniform detection inefficiency alone
+leaves E unbiased under fair sampling; it only widens the error bars).
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +33,10 @@ from .algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2, TwoQubitState, UnitVe
 from .chsh import JointProbabilities, MeasurementSettings
 from .lhv import CorrelationEstimate
 
-_CHUNK = 1 << 20
+_MAX_PAIRS = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
+_PAULIS = (IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+# s_k (x) s_l over _PAULIS, at index 4k + l.
+_PAULI_PRODUCTS = np.array([np.kron(sk, sl) for sk in _PAULIS for sl in _PAULIS])
 
 
 class InsufficientDataError(ValueError):
@@ -77,12 +85,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
+        if not isinstance(self.n_pairs, numbers.Integral) or isinstance(self.n_pairs, bool):
+            raise TypeError(f"n_pairs must be an integer, not {type(self.n_pairs).__name__}")
+        if not (1 <= self.n_pairs <= _MAX_PAIRS):
+            raise ValueError("n_pairs must be in [1, 2**63 - 1]")
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError("efficiency must be in (0, 1]")
-        if not (self.misalignment_sigma >= 0.0):
-            raise ValueError("misalignment_sigma must be >= 0")
+        if not (math.isfinite(self.misalignment_sigma) and self.misalignment_sigma >= 0.0):
+            raise ValueError("misalignment_sigma must be finite and >= 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -116,79 +126,42 @@ def misalignment_for_damping(damping: float) -> float:
 def _bloch_data(state: TwoQubitState):
     """Single-side Bloch vectors and the 3x3 correlation tensor of the state."""
     psi = state.amplitudes
-    sigmas = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    m_a = np.array([np.vdot(psi, np.kron(s, IDENTITY2) @ psi).real for s in sigmas])
-    m_b = np.array([np.vdot(psi, np.kron(IDENTITY2, s) @ psi).real for s in sigmas])
-    t = np.array(
-        [[np.vdot(psi, np.kron(sk, sl) @ psi).real for sl in sigmas] for sk in sigmas]
-    )
-    return m_a, m_b, t
+    r = ((_PAULI_PRODUCTS @ psi) @ psi.conj()).real.reshape(4, 4)
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
 
 
-def _perturb(rng: np.random.Generator, nominal: np.ndarray, sigma: float, n: int) -> np.ndarray:
-    """Rotate ``nominal`` by N(0, sigma) angles about random transverse axes."""
-    delta = rng.normal(0.0, sigma, n)
-    psi = rng.uniform(0.0, 2.0 * math.pi, n)
-    # Orthonormal frame transverse to the nominal direction.
-    helper = np.array([0.0, 0.0, 1.0]) if abs(nominal[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(nominal, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nominal, e1)
-    trans = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
-    return np.cos(delta)[:, None] * nominal + np.sin(delta)[:, None] * trans
+def mean_probabilities(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3) -> JointProbabilities:
+    """Outcome probabilities of one pair at (a, b), averaged over the pointing error.
+
+    p_ij = (1 + i k a.m_a + j k b.m_b + ij k^2 a.T.b) / 4 with k = exp(-sigma^2/2).
+    """
+    m_a, m_b, t = _bloch_data(cfg.state)
+    k = math.exp(-0.5 * cfg.misalignment_sigma ** 2)
+    av, bv = a.as_array(), b.as_array()
+    ma = k * float(av @ m_a)
+    mb = k * float(bv @ m_b)
+    e = k * k * float(av @ t @ bv)
+    p = np.array([1.0 + ma + mb + e, 1.0 + ma - mb - e, 1.0 - ma + mb - e, 1.0 - ma - mb + e])
+    p = np.clip(p, 0.0, None)  # float noise at the edges
+    p /= p.sum()
+    return JointProbabilities(*(float(x) for x in p))
 
 
 def simulate_run(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3, stream: int = 0) -> CoincidenceCounts:
     """Emit cfg.n_pairs pairs at orientations (a, b) and tally coincidences.
 
-    ``stream`` separates the random streams of runs sharing one config (the
-    four orientation pairs of estimate_S use streams 0..3); counts are
+    Outcomes are one multinomial draw over the mean probabilities, then
+    binomial thinning with the both-sides recording probability.  ``stream``
+    separates the random streams of runs sharing one config (the four
+    orientation pairs of estimate_S use streams 0..3); counts are
     bit-identical for identical (config, orientations, stream).
     """
     rng = np.random.default_rng([cfg.seed, stream])
-    n = cfg.n_pairs
-    eff = cfg.efficiency
-
-    if cfg.misalignment_sigma == 0.0:
-        # Fixed Born probabilities: multinomial outcomes, then binomial
-        # thinning with the both-sides recording probability.
-        from .chsh import joint_probabilities
-
-        p = np.array(joint_probabilities(cfg.state, a, b).as_tuple())
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-        outcome = rng.multinomial(n, p)
-        if eff < 1.0:
-            recorded = rng.binomial(outcome, eff * eff)
-        else:
-            recorded = outcome
-        return CoincidenceCounts(*(int(c) for c in recorded), n_pairs=n)
-
-    m_a, m_b, t = _bloch_data(cfg.state)
-    av, bv = a.as_array(), b.as_array()
-    tallies = np.zeros(4, dtype=np.int64)
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        a_eff = _perturb(rng, av, cfg.misalignment_sigma, m)
-        b_eff = _perturb(rng, bv, cfg.misalignment_sigma, m)
-        ma = a_eff @ m_a
-        mb = b_eff @ m_b
-        e = np.einsum("ij,jk,ik->i", a_eff, t, b_eff)
-        # Born probabilities p_ij = (1 + i*ma + j*mb + ij*e)/4 per pair.
-        p_pp = np.clip((1.0 + ma + mb + e) / 4.0, 0.0, 1.0)
-        p_pm = np.clip((1.0 + ma - mb - e) / 4.0, 0.0, 1.0)
-        p_mp = np.clip((1.0 - ma + mb - e) / 4.0, 0.0, 1.0)
-        u = rng.uniform(size=m)
-        outcome = (u >= p_pp).astype(np.int8)
-        outcome += (u >= p_pp + p_pm).astype(np.int8)
-        outcome += (u >= p_pp + p_pm + p_mp).astype(np.int8)
-        if eff < 1.0:
-            both = (rng.uniform(size=m) < eff) & (rng.uniform(size=m) < eff)
-            outcome = outcome[both]
-        tallies += np.bincount(outcome, minlength=4)
-        done += m
-    return CoincidenceCounts(*(int(c) for c in tallies), n_pairs=n)
+    p = np.array(mean_probabilities(cfg, a, b).as_tuple())
+    recorded = rng.multinomial(cfg.n_pairs, p)
+    if cfg.efficiency < 1.0:
+        recorded = rng.binomial(recorded, cfg.efficiency * cfg.efficiency)
+    return CoincidenceCounts(*(int(c) for c in recorded), n_pairs=cfg.n_pairs)
 
 
 def estimate_probabilities(c: CoincidenceCounts) -> JointProbabilities:

@@ -8,11 +8,14 @@ Angles are accepted in degrees unless --radians is given; reports echo both.
 Options may come from a flat ``key = value`` config file via --config, with
 command-line flags taking precedence.  Every stochastic run uses an explicit
 seed, the BELLLAB_SEED environment variable, or the default 0, and echoes it
-in the output.  Exit codes: 0 success, 2 usage or domain error, 3 I/O error.
+in the output.  Exit codes: 0 success, 1 a check failed (lhv local bound,
+selftest), 2 usage or domain error, 3 I/O error.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -324,6 +327,17 @@ def cmd_lhv(args: argparse.Namespace) -> int:
 SINGLET_C1 = 1.0 / math.sqrt(2.0)
 
 
+def _agr_csv(payload: dict) -> str:
+    """One row per orientation pair: its coincidence counts and its E estimate."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["pair", "r_pp", "r_pm", "r_mp", "r_mm", "n_pairs", "E", "stderr"])
+    for c, e in zip(payload["counts"], payload["E"]):
+        writer.writerow([c["pair"], c["r_pp"], c["r_pm"], c["r_mp"], c["r_mm"], c["n_pairs"],
+                         e["value"], e["stderr"]])
+    return buf.getvalue().rstrip("\n")
+
+
 def cmd_agr(args: argparse.Namespace) -> int:
     opts = _Options(args)
     radians_flag = opts.get("radians", bool, False)
@@ -387,9 +401,12 @@ def cmd_agr(args: argparse.Namespace) -> int:
         "stderr": report.s.std_error,
     }
     out = opts.get("out", str)
-    if opts.get("format", str, "text") == "json" or out:
+    fmt = opts.get("format", str, "text")
+    if fmt == "csv":
+        _emit(_agr_csv(payload), out)
+    elif fmt == "json" or out:
         _emit(_dump_json(payload), out)
-    if opts.get("format", str, "text") == "text":
+    if fmt == "text":
         lines = [
             f"{VERSION_TAG} agr pairs={cfg.n_pairs} efficiency={cfg.efficiency:.9g} "
             f"misalignment_sigma={cfg.misalignment_sigma:.9g} seed={cfg.seed}",

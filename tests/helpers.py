@@ -1,7 +1,10 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference samplers for the test suite."""
+import math
+
 import numpy as np
 
-from belllab import MeasurementSettings, TwoQubitState, UnitVector3
+from belllab import CoincidenceCounts, MeasurementSettings, TwoQubitState, UnitVector3
+from belllab.agr import _bloch_data
 
 
 def random_unit_vector(rng: np.random.Generator) -> UnitVector3:
@@ -38,3 +41,57 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# ------------------------------------------------ per-pair misalignment sampler
+#
+# The slow route that agr.simulate_run replaced: every pair draws its own
+# effective orientations and then its outcome.  Kept as the oracle for the
+# mean-probability sampler.
+
+REFERENCE_CHUNK = 1 << 20
+
+
+def perturb(rng: np.random.Generator, nominal: np.ndarray, sigma: float, n: int) -> np.ndarray:
+    """Rotate ``nominal`` by N(0, sigma) angles about random transverse axes."""
+    delta = rng.normal(0.0, sigma, n)
+    psi = rng.uniform(0.0, 2.0 * math.pi, n)
+    # Orthonormal frame transverse to the nominal direction.
+    helper = np.array([0.0, 0.0, 1.0]) if abs(nominal[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(nominal, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(nominal, e1)
+    trans = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
+    return np.cos(delta)[:, None] * nominal + np.sin(delta)[:, None] * trans
+
+
+def per_pair_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> CoincidenceCounts:
+    """Misaligned run sampled pair by pair: orientations, outcome, then recording."""
+    rng = np.random.default_rng([cfg.seed, stream])
+    n = cfg.n_pairs
+    eff = cfg.efficiency
+    m_a, m_b, t = _bloch_data(cfg.state)
+    av, bv = a.as_array(), b.as_array()
+    tallies = np.zeros(4, dtype=np.int64)
+    done = 0
+    while done < n:
+        m = min(REFERENCE_CHUNK, n - done)
+        a_eff = perturb(rng, av, cfg.misalignment_sigma, m)
+        b_eff = perturb(rng, bv, cfg.misalignment_sigma, m)
+        ma = a_eff @ m_a
+        mb = b_eff @ m_b
+        e = np.einsum("ij,jk,ik->i", a_eff, t, b_eff)
+        # Born probabilities p_ij = (1 + i*ma + j*mb + ij*e)/4 per pair.
+        p_pp = np.clip((1.0 + ma + mb + e) / 4.0, 0.0, 1.0)
+        p_pm = np.clip((1.0 + ma - mb - e) / 4.0, 0.0, 1.0)
+        p_mp = np.clip((1.0 - ma + mb - e) / 4.0, 0.0, 1.0)
+        u = rng.uniform(size=m)
+        outcome = (u >= p_pp).astype(np.int8)
+        outcome += (u >= p_pp + p_pm).astype(np.int8)
+        outcome += (u >= p_pp + p_pm + p_mp).astype(np.int8)
+        if eff < 1.0:
+            both = (rng.uniform(size=m) < eff) & (rng.uniform(size=m) < eff)
+            outcome = outcome[both]
+        tallies += np.bincount(outcome, minlength=4)
+        done += m
+    return CoincidenceCounts(*(int(c) for c in tallies), n_pairs=n)

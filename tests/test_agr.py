@@ -19,7 +19,8 @@ from belllab import (
     run_experiment,
     simulate_run,
 )
-from helpers import random_state, random_unit_vector
+from belllab.agr import mean_probabilities
+from helpers import per_pair_counts, random_state, random_unit_vector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -91,10 +92,10 @@ class TestSimulateRun:
         )
 
     def test_misaligned_probabilities_match_born_rule(self):
-        # The vectorized per-pair sampler and joint_probabilities agree: with
-        # sigma > 0 the empirical outcome frequencies at fixed effective
-        # orientations are checked indirectly through the damped mean; here a
-        # tiny sigma must reproduce the nominal Born frequencies.
+        # The mean-probability sampler and joint_probabilities agree: the
+        # per-pair reference is checked against the mean probabilities in
+        # TestMeanProbabilitySampler; here a tiny sigma must reproduce the
+        # nominal Born frequencies.
         cfg = ideal_config(n_pairs=500_000, misalignment_sigma=1e-9)
         counts = simulate_run(cfg, OPTIMAL.a, OPTIMAL.b)
         jp = joint_probabilities(SINGLET, OPTIMAL.a, OPTIMAL.b)
@@ -113,6 +114,94 @@ class TestSimulateRun:
             ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=1, efficiency=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=1, misalignment_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # An infinite width used to sample NaN orientations and report E = +1.
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=1, misalignment_sigma=sigma)
+
+    def test_n_pairs_range(self):
+        ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=2 ** 63 - 1)
+        ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=np.int64(10))
+        # 2**64 used to overflow inside the sampler instead of failing here.
+        with pytest.raises(ValueError):
+            ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=2 ** 63)
+        for bad in (1e6, 10.0, True, "10"):
+            with pytest.raises(TypeError):
+                ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=bad)
+
+
+# Chi-square critical values at p = 1e-4 for 3 and 4 degrees of freedom
+# (4 outcome bins, plus the "not recorded" bin when efficiency < 1).
+CHI2_CRITICAL = {3: 21.10751, 4: 23.51274}
+
+
+def chi_square(observed, probabilities, n):
+    expected = [p * n for p in probabilities]
+    assert min(expected) >= 5.0, "bins too sparse for the chi-square approximation"
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+
+
+def binned(counts, cfg):
+    """Outcome tallies plus the unrecorded pairs, when any can be lost."""
+    bins = list(counts.as_tuple())
+    return bins + [cfg.n_pairs - counts.total()] if cfg.efficiency < 1.0 else bins
+
+
+def binned_probabilities(cfg, a, b):
+    both = cfg.efficiency * cfg.efficiency
+    p = [both * x for x in mean_probabilities(cfg, a, b).as_tuple()]
+    return p + [1.0 - both] if cfg.efficiency < 1.0 else p
+
+
+class TestMeanProbabilitySampler:
+    """simulate_run against the per-pair pointing-error sampler it replaced."""
+
+    CASES = [(0.1, 1.0), (0.4, 0.8), (0.9, 1.0), (1.5, 0.7)]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_per_pair_reference_fits_mean_probabilities(self, case):
+        sigma, eff = self.CASES[case]
+        rng = np.random.default_rng([40, case])
+        state = random_state(rng)
+        a, b = random_unit_vector(rng), random_unit_vector(rng)
+        cfg = ExperimentConfig(state=state, settings=OPTIMAL, n_pairs=1_000_000,
+                               efficiency=eff, misalignment_sigma=sigma, seed=case)
+        p = binned_probabilities(cfg, a, b)
+        critical = CHI2_CRITICAL[len(p) - 1]
+        reference = per_pair_counts(cfg, a, b)
+        assert chi_square(binned(reference, cfg), p, cfg.n_pairs) <= critical
+        assert chi_square(binned(simulate_run(cfg, a, b), cfg), p, cfg.n_pairs) <= critical
+
+    def test_zero_sigma_is_born_rule(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            state = random_state(rng)
+            a, b = random_unit_vector(rng), random_unit_vector(rng)
+            cfg = ExperimentConfig(state=state, settings=OPTIMAL, n_pairs=1)
+            got = mean_probabilities(cfg, a, b).as_tuple()
+            assert got == pytest.approx(joint_probabilities(state, a, b).as_tuple(), abs=1e-14)
+
+    def test_damped_mean_correlation(self):
+        rng = np.random.default_rng(42)
+        for i, sigma in enumerate((0.05, 0.3, 0.8, 1.2)):
+            state = random_state(rng)
+            a, b = random_unit_vector(rng), random_unit_vector(rng)
+            cfg = ExperimentConfig(state=state, settings=OPTIMAL, n_pairs=1_000_000,
+                                   misalignment_sigma=sigma, seed=i)
+            expected = math.exp(-sigma * sigma) * correlation_matrix(state, a, b)
+            assert mean_probabilities(cfg, a, b).correlation() == pytest.approx(expected, abs=1e-14)
+            est = estimate_E(per_pair_counts(cfg, a, b))
+            assert abs(est.value - expected) <= 5.0 * est.std_error
+
+    def test_trillion_pairs(self):
+        for eff in (1.0, 0.8):
+            cfg = ideal_config(n_pairs=10 ** 12, efficiency=eff, misalignment_sigma=0.3)
+            counts = simulate_run(cfg, OPTIMAL.a, OPTIMAL.b)
+            assert counts.n_pairs == 10 ** 12
+            assert counts.total() <= counts.n_pairs
+            assert eff < 1.0 or counts.total() == counts.n_pairs
 
 
 class TestEstimateProbabilities:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -224,6 +226,40 @@ class TestAgrCommand:
             "--misalignment-sigma", "0.1",
         )
         assert rc == 2
+
+    def test_infinite_sigma_exit_2(self, capsys):
+        # Used to sample NaN orientations, report S = 2.000000 and exit 0.
+        rc, out, err = run_cli(capsys, "agr", "--pairs", "1000", "--misalignment-sigma", "inf")
+        assert rc == 2
+        assert "finite" in err
+        assert out == ""
+
+    def test_oversized_pairs_exit_2(self, capsys):
+        # Used to raise an uncaught OverflowError from the sampler.
+        rc, _, err = run_cli(capsys, "agr", "--pairs", str(2 ** 64))
+        assert rc == 2
+        assert "n_pairs" in err
+
+    def test_csv_format(self, capsys, tmp_path):
+        # Used to print nothing and exit 0.
+        argv = ["agr", "--pairs", "100000", "--seed", "9", "--efficiency", "0.8"]
+        rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["pair"] for r in rows] == ["a,b", "a,b'", "a',b", "a',b'"]
+        _, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out_json)
+        for row, counts, e in zip(rows, payload["counts"], payload["E"]):
+            assert [int(row[k]) for k in ("r_pp", "r_pm", "r_mp", "r_mm", "n_pairs")] == [
+                counts[k] for k in ("r_pp", "r_pm", "r_mp", "r_mm", "n_pairs")
+            ]
+            assert float(row["E"]) == e["value"]
+            assert float(row["stderr"]) == e["stderr"]
+        path = tmp_path / "counts.csv"
+        rc, out_file, _ = run_cli(capsys, *argv, "--format", "csv", "--out", str(path))
+        assert rc == 0
+        assert out_file == ""
+        assert path.read_text() == out
 
 
 class TestConfigFile:
