@@ -8,14 +8,8 @@ never leave the classical interval [0, 2]; the quantum column exceeds 2 for
 every entangled state.
 """
 import argparse
-import math
 
-from belllab import BUILTIN_MODELS, chsh_lhv, gisin_settings, max_violation
-
-
-def coefficients_for(conc: float) -> tuple[float, float]:
-    gap = math.sqrt(1.0 - conc * conc)
-    return math.sqrt((1.0 + gap) / 2.0), math.sqrt((1.0 - gap) / 2.0)
+from belllab import BUILTIN_MODELS, canonical_coefficients, chsh_lhv, gisin_settings, max_violation
 
 
 def main():
@@ -28,7 +22,7 @@ def main():
     header = f"{'C':>6} {'quantum':>9} " + " ".join(f"{n:>18}" for n in names)
     print(header)
     for conc in (1.0, 0.9, 0.8, 8.0 / 11.0, 0.5, 0.25):
-        c1, c2 = coefficients_for(conc)
+        c1, c2 = canonical_coefficients(conc)
         settings = gisin_settings(c1, c2)
         row = [f"{conc:6.3f}", f"{max_violation(c1, c2):9.5f}"]
         for name in names:

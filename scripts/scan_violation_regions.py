@@ -9,12 +9,7 @@ import argparse
 import math
 import pathlib
 
-from belllab import Plane, scan_region, write_grid_csv
-
-
-def coefficients_for(conc: float) -> tuple[float, float]:
-    gap = math.sqrt(1.0 - conc * conc)
-    return math.sqrt((1.0 + gap) / 2.0), math.sqrt((1.0 - gap) / 2.0)
+from belllab import Plane, canonical_coefficients, scan_region, write_grid_csv
 
 
 def band_fraction(conc: float) -> float:
@@ -34,7 +29,7 @@ def main():
     args.out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'C':>8} {'fraction':>10} {'analytic':>10}  file")
     for conc in args.concurrences:
-        grid = scan_region(Plane.XY, *coefficients_for(conc), args.grid)
+        grid = scan_region(Plane.XY, *canonical_coefficients(conc), args.grid)
         path = args.out_dir / f"xy_C{conc:.4f}_grid{args.grid}.csv"
         write_grid_csv(grid, path)
         print(f"{conc:8.4f} {grid.violating_fraction:10.6f} {band_fraction(conc):10.6f}  {path}")

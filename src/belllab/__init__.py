@@ -16,8 +16,10 @@ from .algebra import (
     TwoQubitState,
     UnitVector3,
     angle_between,
+    canonical_coefficients,
     canonical_state,
     concurrence,
+    correlation_tensor,
     make_unit_vector,
     pauli_dot,
     schmidt_decompose,
@@ -27,6 +29,7 @@ from .chsh import (
     JointProbabilities,
     MeasurementSettings,
     SeparableStateError,
+    chsh_combination,
     chsh_value,
     chsh_value_symmetric,
     correlation_closed,

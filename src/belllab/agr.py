@@ -29,14 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2, TwoQubitState, UnitVector3
-from .chsh import JointProbabilities, MeasurementSettings
+from .algebra import TwoQubitState, UnitVector3, correlation_tensor
+from .chsh import JointProbabilities, MeasurementSettings, born_probabilities, chsh_combination
 from .lhv import CorrelationEstimate
 
 _MAX_PAIRS = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
-_PAULIS = (IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-# s_k (x) s_l over _PAULIS, at index 4k + l.
-_PAULI_PRODUCTS = np.array([np.kron(sk, sl) for sk in _PAULIS for sl in _PAULIS])
 
 
 class InsufficientDataError(ValueError):
@@ -123,28 +120,14 @@ def misalignment_for_damping(damping: float) -> float:
     return abs(math.sqrt(-math.log(damping)))
 
 
-def _bloch_data(state: TwoQubitState):
-    """Single-side Bloch vectors and the 3x3 correlation tensor of the state."""
-    psi = state.amplitudes
-    r = ((_PAULI_PRODUCTS @ psi) @ psi.conj()).real.reshape(4, 4)
-    return r[1:, 0], r[0, 1:], r[1:, 1:]
-
-
 def mean_probabilities(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3) -> JointProbabilities:
     """Outcome probabilities of one pair at (a, b), averaged over the pointing error.
 
-    p_ij = (1 + i k a.m_a + j k b.m_b + ij k^2 a.T.b) / 4 with k = exp(-sigma^2/2).
+    These are the Born probabilities at the shortened orientations k*a, k*b
+    with k = exp(-sigma^2/2).
     """
-    m_a, m_b, t = _bloch_data(cfg.state)
     k = math.exp(-0.5 * cfg.misalignment_sigma ** 2)
-    av, bv = a.as_array(), b.as_array()
-    ma = k * float(av @ m_a)
-    mb = k * float(bv @ m_b)
-    e = k * k * float(av @ t @ bv)
-    p = np.array([1.0 + ma + mb + e, 1.0 + ma - mb - e, 1.0 - ma + mb - e, 1.0 - ma - mb + e])
-    p = np.clip(p, 0.0, None)  # float noise at the edges
-    p /= p.sum()
-    return JointProbabilities(*(float(x) for x in p))
+    return born_probabilities(correlation_tensor(cfg.state), k * a.as_array(), k * b.as_array())
 
 
 def simulate_run(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3, stream: int = 0) -> CoincidenceCounts:
@@ -186,12 +169,11 @@ def estimate_E(c: CoincidenceCounts) -> CorrelationEstimate:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate the four orientation pairs and assemble counts, E's, and S."""
-    s = cfg.settings
-    pairs = ((s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b), (s.a_prime, s.b_prime))
+    pairs = cfg.settings.pairs()
     counts = tuple(simulate_run(cfg, a, b, stream=i) for i, (a, b) in enumerate(pairs))
     estimates = tuple(estimate_E(c) for c in counts)
     e = [est.value for est in estimates]
-    s_value = e[0] - e[1] + e[2] + e[3]
+    s_value = chsh_combination(e, "signed")
     se = math.sqrt(sum(est.std_error ** 2 for est in estimates))
     return ExperimentReport(
         config=cfg,

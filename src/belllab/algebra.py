@@ -19,6 +19,9 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2):
     _m.setflags(write=False)
+_PAULIS = (IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+# s_k (x) s_l over _PAULIS, at index 4k + l.
+_PAULI_PRODUCTS = np.array([np.kron(sk, sl) for sk in _PAULIS for sl in _PAULIS])
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,21 @@ def canonical_state(c1: float, c2: float, permissive: bool = False) -> TwoQubitS
         raise ValueError("separable state (c1*c2 = 0); pass permissive=True to allow")
     n = math.sqrt(n2)
     return TwoQubitState(np.array([0.0, c1 / n, c2 / n, 0.0], dtype=complex))
+
+
+def correlation_tensor(state: TwoQubitState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors m_a[k] = <s_k (x) I>, m_b[l] = <I (x) s_l> and T[k, l] = <s_k (x) s_l>."""
+    psi = state.amplitudes
+    r = ((_PAULI_PRODUCTS @ psi) @ psi.conj()).real.reshape(4, 4)
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
+
+
+def canonical_coefficients(concurrence: float, sign: int = 1) -> tuple[float, float]:
+    """Coefficients c1 >= |c2| of c1|01> + c2|10> with 2*c1*|c2| = concurrence, c2 of sign +-1."""
+    if not (0.0 <= concurrence <= 1.0 and sign in (-1, 1)):
+        raise ValueError(f"need concurrence in [0, 1] and sign +-1, got {concurrence}, {sign}")
+    gap = math.sqrt(1.0 - concurrence * concurrence)
+    return math.sqrt((1.0 + gap) / 2.0), sign * math.sqrt((1.0 - gap) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Quantum spin correlations, the CHSH functional, and Gisin's construction.
 
-The spin correlation coefficient is P(a, b) = <psi| (a.sigma) (x) (b.sigma) |psi>;
-for the canonical state c1|01> + c2|10> it reduces to the closed form
-2*c1*c2*(ax*bx + ay*by) - az*bz.
+The spin correlation coefficient is P(a, b) = <psi| (a.sigma) (x) (b.sigma) |psi> = a.T.b;
+the canonical state c1|01> + c2|10> has T = diag(2*c1*c2, 2*c1*c2, -1), so P
+reduces to the closed form 2*c1*c2*(ax*bx + ay*by) - az*bz.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .algebra import (
     SIGMA_Z,
     UnitVector3,
     TwoQubitState,
+    correlation_tensor,
     pauli_dot,
     tensor_observable,
 )
@@ -35,6 +36,11 @@ class MeasurementSettings:
     b: UnitVector3
     a_prime: UnitVector3
     b_prime: UnitVector3
+
+    def pairs(self) -> tuple:
+        """Orientation pairs (a,b), (a,b'), (a',b), (a',b') in CHSH order."""
+        a, b, ap, bp = self.a, self.b, self.a_prime, self.b_prime
+        return ((a, b), (a, bp), (ap, b), (ap, bp))
 
 
 @dataclass(frozen=True)
@@ -95,41 +101,58 @@ def correlation_matrix(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> 
 
 
 def correlation_closed(c1: float, c2: float, a: UnitVector3, b: UnitVector3) -> float:
-    """Closed-form correlation 2*c1*c2*(ax*bx + ay*by) - az*bz for c1|01> + c2|10>."""
+    """Closed-form correlation 2*c1*c2*(ax*bx + ay*by) - az*bz for c1|01> + c2|10>.
+
+    Elementwise on array components.  Region-scan cells whose exact value is 2
+    are decided by this rounding: transverse products summed, then scaled.
+    """
     if abs(c1 * c1 + c2 * c2 - 1.0) > 1e-9:
         raise ValueError("coefficients not normalized")
     return 2.0 * c1 * c2 * (a.x * b.x + a.y * b.y) - a.z * b.z
 
 
+def born_probabilities(tensor, a: np.ndarray, b: np.ndarray) -> JointProbabilities:
+    """p_ij = (1 + i a.m_a + j b.m_b + ij a.T.b)/4 for tensor = (m_a, m_b, T) and 3-vectors a, b.
+
+    Affine in each vector, so a shortened vector gives the average over the
+    orientations it is the mean of.
+    """
+    m_a, m_b, t = tensor
+    ma, mb, e = float(a @ m_a), float(b @ m_b), float(a @ t @ b)
+    p = np.array([1.0 + ma + mb + e, 1.0 + ma - mb - e, 1.0 - ma + mb - e, 1.0 - ma - mb + e])
+    p = np.clip(p, 0.0, None)  # float noise at the edges
+    p /= p.sum()  # the sum is 4 up to rounding
+    return JointProbabilities(*(float(x) for x in p))
+
+
 def joint_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> JointProbabilities:
     """Born-rule outcome probabilities with projectors (I +- n.sigma)/2 per side."""
-    psi = state.amplitudes
-    pi_a = (projector(a), projector(-a))
-    pi_b = (projector(b), projector(-b))
-    vals = []
-    for pa in pi_a:
-        for pb in pi_b:
-            p = float(np.vdot(psi, np.kron(pa, pb) @ psi).real)
-            vals.append(min(1.0, max(0.0, p)))  # clip float noise at the edges
-    return JointProbabilities(*vals)
+    return born_probabilities(correlation_tensor(state), a.as_array(), b.as_array())
+
+
+def chsh_combination(p, form: str):
+    """CHSH combination of four correlations (floats or arrays) in the pairs() order.
+
+    "bell": |p0 - p1| + p2 + p3; "symmetric": |p0 - p1| + |p2 + p3|; "signed": p0 - p1 + p2 + p3.
+    """
+    p = iter(p)  # read in order, so a lazy iterable holds at most two arrays at once
+    if form == "bell":
+        return abs(next(p) - next(p)) + next(p) + next(p)
+    if form == "symmetric":
+        return abs(next(p) - next(p)) + abs(next(p) + next(p))
+    if form == "signed":
+        return next(p) - next(p) + next(p) + next(p)
+    raise ValueError(f"unknown CHSH form {form!r}")
 
 
 def chsh_value(state: TwoQubitState, s: MeasurementSettings) -> float:
     """CHSH combination |P(a,b) - P(a,b')| + P(a',b) + P(a',b')."""
-    p_ab = correlation_matrix(state, s.a, s.b)
-    p_abp = correlation_matrix(state, s.a, s.b_prime)
-    p_apb = correlation_matrix(state, s.a_prime, s.b)
-    p_apbp = correlation_matrix(state, s.a_prime, s.b_prime)
-    return abs(p_ab - p_abp) + p_apb + p_apbp
+    return chsh_combination([correlation_matrix(state, a, b) for a, b in s.pairs()], "bell")
 
 
 def chsh_value_symmetric(state: TwoQubitState, s: MeasurementSettings) -> float:
     """Symmetric CHSH combination |P(a,b) - P(a,b')| + |P(a',b') + P(a',b)|."""
-    p_ab = correlation_matrix(state, s.a, s.b)
-    p_abp = correlation_matrix(state, s.a, s.b_prime)
-    p_apb = correlation_matrix(state, s.a_prime, s.b)
-    p_apbp = correlation_matrix(state, s.a_prime, s.b_prime)
-    return abs(p_ab - p_abp) + abs(p_apbp + p_apb)
+    return chsh_combination([correlation_matrix(state, a, b) for a, b in s.pairs()], "symmetric")
 
 
 def gisin_settings(c1: float, c2: float) -> MeasurementSettings:

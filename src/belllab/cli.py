@@ -5,11 +5,11 @@ Subcommands: chsh (quantum prediction for a canonical state), scan
 agr (coincidence-counting experiment), selftest.
 
 Angles are accepted in degrees unless --radians is given; reports echo both.
-Options may come from a flat ``key = value`` config file via --config, with
-command-line flags taking precedence.  Every stochastic run uses an explicit
-seed, the BELLLAB_SEED environment variable, or the default 0, and echoes it
-in the output.  Exit codes: 0 success, 1 a check failed (lhv local bound,
-selftest), 2 usage or domain error, 3 I/O error.
+Options may come from a flat ``key = value`` config file via --config (keys
+name options of the subcommand; flags win).  Every stochastic run (lhv, agr)
+uses an explicit seed, the BELLLAB_SEED environment variable, or the default
+0, and echoes it in the output.  Exit codes: 0 success, 1 a check failed
+(lhv local bound, selftest), 2 usage or domain error, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -24,9 +24,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import UnitVector3, canonical_state, make_unit_vector, schmidt_decompose, concurrence
+from .algebra import (UnitVector3, canonical_coefficients, canonical_state, concurrence,
+                      make_unit_vector, schmidt_decompose)
 from .chsh import (
     MeasurementSettings,
+    chsh_combination,
     chsh_value,
     correlation_matrix,
     gisin_settings,
@@ -34,11 +36,15 @@ from .chsh import (
 )
 from .agr import ExperimentConfig, misalignment_for_damping, run_experiment
 from .lhv import BUILTIN_MODELS, chsh_lhv, estimate_correlation
-from .regions import Plane, scan_region, write_grid_csv, write_grid_json
+from .regions import MAX_GRID_N, Plane, scan_region, write_grid_csv, write_grid_json
 
 VERSION_TAG = f"belllab {__version__}"
 DEFAULT_SEED = 0
 PAIR_LABELS = ("a,b", "a,b'", "a',b", "a',b'")
+RADIANS_HELP = "interpret angle flags as radians (default: degrees)"
+# The --format values each subcommand can render (flags and config files alike).
+FORMATS = {"chsh": ("text", "json"), "scan": ("csv", "json"), "lhv": ("text", "json"),
+           "agr": ("text", "json", "csv")}
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -74,6 +80,12 @@ class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = load_config(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(self.config) - (set(vars(args)) - {"command", "func", "config"}))
+        if unknown:
+            raise ValueError(f"{args.config}: no {args.command} option named {', '.join(unknown)}")
+        formats = FORMATS[args.command]
+        if "format" in self.config and self.config["format"] not in formats:
+            raise ValueError(f"{args.config}: {args.command} formats are {', '.join(formats)}")
 
     def get(self, key: str, cast, default=None):
         val = getattr(self.args, key, None)
@@ -138,12 +150,12 @@ def _settings_from_options(opts: _Options) -> MeasurementSettings | None:
     if any(v is None for v in angles):
         raise ValueError("explicit settings need all of --alpha --alpha-prime --beta --beta-prime")
     al, alp, be, bep = (_to_radians(v, radians_flag) for v in angles)
-    return MeasurementSettings(
-        a=make_unit_vector(al, 0.0),
-        b=make_unit_vector(be, 0.0),
-        a_prime=make_unit_vector(alp, 0.0),
-        b_prime=make_unit_vector(bep, 0.0),
-    )
+    return _xz_settings(al, be, alp, bep)
+
+
+def _xz_settings(a: float, b: float, a_prime: float, b_prime: float) -> MeasurementSettings:
+    """xz-plane quadruple from the four polar angles in radians."""
+    return MeasurementSettings(*(make_unit_vector(t, 0.0) for t in (a, b, a_prime, b_prime)))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -181,13 +193,9 @@ def cmd_chsh(args: argparse.Namespace) -> int:
         raise ValueError("no settings source: pass --gisin or the four explicit angles")
     settings = gisin_settings(c1, c2) if use_gisin else explicit
 
-    p = {
-        "ab": correlation_matrix(state, settings.a, settings.b),
-        "ab_prime": correlation_matrix(state, settings.a, settings.b_prime),
-        "a_prime_b": correlation_matrix(state, settings.a_prime, settings.b),
-        "a_prime_b_prime": correlation_matrix(state, settings.a_prime, settings.b_prime),
-    }
-    s_value = chsh_value(state, settings)
+    names = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
+    p = {name: correlation_matrix(state, a, b) for name, (a, b) in zip(names, settings.pairs())}
+    s_value = chsh_combination(list(p.values()), "bell")
     bound = max_violation(c1, c2)
     payload = {
         "version": VERSION_TAG,
@@ -236,11 +244,7 @@ def _coefficients_from_options(opts: _Options) -> tuple[float, float]:
     if conc is not None:
         if c1 is not None or c2 is not None:
             raise ValueError("pass either --concurrence or --c1/--c2, not both")
-        if not (0.0 <= conc <= 1.0):
-            raise ValueError("concurrence must be in [0, 1]")
-        gap = math.sqrt(1.0 - conc * conc)
-        sign = 1 if opts.get("sign", int, 1) >= 0 else -1
-        return math.sqrt((1.0 + gap) / 2.0), sign * math.sqrt((1.0 - gap) / 2.0)
+        return canonical_coefficients(conc, opts.get("sign", int, 1))
     if c1 is None or c2 is None:
         raise ValueError("pass --concurrence or both --c1 and --c2")
     return _normalize_pair(c1, c2)
@@ -352,12 +356,7 @@ def cmd_agr(args: argparse.Namespace) -> int:
     for key, deg in defaults_deg.items():
         raw = opts.get(key, float)
         angles[key] = _to_radians(raw, radians_flag) if raw is not None else math.radians(deg)
-    settings = MeasurementSettings(
-        a=make_unit_vector(angles["a"], 0.0),
-        b=make_unit_vector(angles["b"], 0.0),
-        a_prime=make_unit_vector(angles["a_prime"], 0.0),
-        b_prime=make_unit_vector(angles["b_prime"], 0.0),
-    )
+    settings = _xz_settings(angles["a"], angles["b"], angles["a_prime"], angles["b_prime"])
 
     damping = opts.get("damping", float)
     sigma = opts.get("misalignment_sigma", float)
@@ -485,12 +484,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     cfg = ExperimentConfig(
         state=canonical_state(SINGLET_C1, -SINGLET_C1),
-        settings=MeasurementSettings(
-            a=make_unit_vector(0.0, 0.0),
-            b=make_unit_vector(math.pi / 4, 0.0),
-            a_prime=make_unit_vector(math.pi / 2, 0.0),
-            b_prime=make_unit_vector(3 * math.pi / 4, 0.0),
-        ),
+        settings=_xz_settings(0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4),
         n_pairs=200_000,
         seed=3,
     )
@@ -509,18 +503,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--config", help="flat key = value option file (flags win)")
-    p.add_argument("--format", choices=("text", "json", "csv"), default=None)
+    p.add_argument("--format", choices=formats, default=None)
     p.add_argument("--out", default=None, help="write the report/grid to this path")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--radians", action="store_true", default=None,
-                   help="interpret angle flags as radians (default: degrees)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap worker threads (results are identical at any cap)")
 
 
 def _add_angle_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--radians", action="store_true", default=None, help=RADIANS_HELP)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--alpha-prime", dest="alpha_prime", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
@@ -540,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permissive", action="store_true", default=None,
                    help="accept the separable limit c1*c2 = 0")
     _add_angle_flags(p)
-    _add_common(p)
+    _add_common(p, FORMATS["chsh"])
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("scan", help="violation-region grid scan (CSV/JSON export)")
@@ -550,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sign of c1*c2 when using --concurrence")
     p.add_argument("--c1", type=float, default=None)
     p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--grid", type=int, default=None, help=f"cells per axis, at most {MAX_GRID_N}")
+    _add_common(p, FORMATS["scan"])
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("lhv", help="Monte Carlo CHSH for a local hidden-variable model")
@@ -560,8 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gisin-for", dest="gisin_for", nargs=2, type=float, default=None,
                    metavar=("C1", "C2"),
                    help="use the maximizing quadruple for these coefficients")
+    p.add_argument("--seed", type=int, default=None)
     _add_angle_flags(p)
-    _add_common(p)
+    _add_common(p, FORMATS["lhv"])
     p.set_defaults(func=cmd_lhv)
 
     p = sub.add_parser("agr", help="simulated coincidence-counting experiment")
@@ -577,7 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target mean correlation damping (sets the misalignment width)")
     p.add_argument("--misalignment-sigma", dest="misalignment_sigma", type=float,
                    default=None, help="pointing-error width in radians")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--radians", action="store_true", default=None, help=RADIANS_HELP)
+    _add_common(p, FORMATS["agr"])
     p.set_defaults(func=cmd_agr)
 
     p = sub.add_parser("selftest", help="quick end-to-end sanity checks")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import UnitVector3
-from .chsh import MeasurementSettings
+from .chsh import MeasurementSettings, chsh_combination
 
 # Samples are drawn in fixed-size blocks so results depend only on (seed, n).
 _BLOCK = 1 << 20
@@ -164,13 +164,10 @@ def chsh_lhv(model, s: MeasurementSettings, n: int, seed) -> ChshEstimate:
     deterministically from ``seed``; errors combine in quadrature.
     """
     streams = _pair_streams(seed, 4)
-    e_ab = estimate_correlation(model, s.a, s.b, n, streams[0])
-    e_abp = estimate_correlation(model, s.a, s.b_prime, n, streams[1])
-    e_apb = estimate_correlation(model, s.a_prime, s.b, n, streams[2])
-    e_apbp = estimate_correlation(model, s.a_prime, s.b_prime, n, streams[3])
-    value = abs(e_ab.value - e_abp.value) + abs(e_apbp.value + e_apb.value)
-    se = math.sqrt(sum(e.std_error ** 2 for e in (e_ab, e_abp, e_apb, e_apbp)))
-    return ChshEstimate(value=value, std_error=se, e_ab=e_ab, e_abp=e_abp, e_apb=e_apb, e_apbp=e_apbp)
+    est = [estimate_correlation(model, a, b, n, st) for (a, b), st in zip(s.pairs(), streams)]
+    value = chsh_combination([e.value for e in est], "symmetric")
+    se = math.sqrt(sum(e.std_error ** 2 for e in est))
+    return ChshEstimate(value, se, *est)
 
 
 def bell1964_check(

@@ -2,10 +2,10 @@
 
 Three two-parameter analyzer families are supported, one per coordinate
 plane; all satisfy a . a' = 0 = b . b' by construction.  A scan evaluates
-the exact Bell combination |P(a,b) - P(a,b')| + P(a',b) + P(a',b') from the
-closed-form correlation on every grid cell and marks strict violations
-(> 2); the pre-simplified single-variable closed form scaled by the
-concurrence is stored alongside for cross-checking.
+the exact Bell combination |P(a,b) - P(a,b')| + P(a',b) + P(a',b') on every
+grid cell, each correlation being a.T.b over the canonical state's tensor
+T = diag(2*c1*c2, 2*c1*c2, -1) (chsh.correlation_closed on component arrays),
+and marks strict violations (> 2).
 """
 from __future__ import annotations
 
@@ -13,14 +13,20 @@ import csv
 import enum
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import UnitVector3
-from .chsh import MeasurementSettings
+from .chsh import MeasurementSettings, chsh_combination, correlation_closed
 
 VIOLATION_THRESHOLD = 2.0
+# Largest grid_n scan_region accepts.  ``belllab scan --format json`` at this
+# size peaked at 800 MB resident (memory grows as grid_n^2, ~40 B per cell).
+MAX_GRID_N = 4096
+# An orientation whose components may be numpy arrays, one entry per grid cell.
+_Vector = namedtuple("_Vector", "x y z")
 
 
 class Plane(enum.Enum):
@@ -32,7 +38,7 @@ class Plane(enum.Enum):
 
 
 def _components(plane: Plane, t1, t2):
-    """Component triples of (a, b, a', b') for the given plane.
+    """Orientations (a, b, a', b') of the given plane as _Vector triples.
 
     Works elementwise on numpy arrays as well as on scalars.  In the xz and
     yz planes the angles are polar angles and the primed vectors are rotated
@@ -50,18 +56,13 @@ def _components(plane: Plane, t1, t2):
     else:
         a, b = (zero1, s1, c1), (zero2, s2, c2)
         ap, bp = (zero1, c1, -s1), (zero2, c2, -s2)
-    return a, b, ap, bp
+    return tuple(_Vector(*v) for v in (a, b, ap, bp))
 
 
 def scenario_settings(plane: Plane, angle1: float, angle2: float) -> MeasurementSettings:
     """Analyzer quadruple of the given coplanar scenario at (angle1, angle2)."""
-    a, b, ap, bp = _components(plane, float(angle1), float(angle2))
-    return MeasurementSettings(
-        a=UnitVector3(*(float(c) for c in a)),
-        b=UnitVector3(*(float(c) for c in b)),
-        a_prime=UnitVector3(*(float(c) for c in ap)),
-        b_prime=UnitVector3(*(float(c) for c in bp)),
-    )
+    vectors = _components(plane, float(angle1), float(angle2))
+    return MeasurementSettings(*(UnitVector3(*(float(c) for c in v)) for v in vectors))
 
 
 def scenario_closed_form(plane: Plane, sign_case: int, angle1, angle2):
@@ -84,24 +85,11 @@ def scenario_closed_form(plane: Plane, sign_case: int, angle1, angle2):
     return out if out.ndim else float(out)
 
 
-def _bell_lhs(plane: Plane, c1: float, c2: float, t1, t2):
-    """Exact |P(a,b) - P(a,b')| + P(a',b) + P(a',b') on scalar or array angles."""
-    a, b, ap, bp = _components(plane, t1, t2)
-    k = 2.0 * c1 * c2
-
-    def corr(u, v):
-        return k * (u[0] * v[0] + u[1] * v[1]) - u[2] * v[2]
-
-    return np.abs(corr(a, b) - corr(a, bp)) + corr(ap, b) + corr(ap, bp)
-
-
 @dataclass(frozen=True)
 class ViolationGrid:
     """Bell values over a uniform angle grid with the violating fraction.
 
-    ``values[i, j]`` is the exact Bell combination at (axis1[i], axis2[j]);
-    ``f_scaled`` holds C * f(closed form) for the matching sign case, which
-    coincides with ``values`` at maximal entanglement.
+    ``values[i, j]`` is the exact Bell combination at (axis1[i], axis2[j]).
     """
 
     plane: Plane
@@ -110,7 +98,6 @@ class ViolationGrid:
     axis1: np.ndarray
     axis2: np.ndarray
     values: np.ndarray
-    f_scaled: np.ndarray
     threshold: float
     violating_fraction: float
 
@@ -123,14 +110,11 @@ def scan_region(plane: Plane, c1: float, c2: float, grid_n: int) -> ViolationGri
     """
     if abs(c1 * c1 + c2 * c2 - 1.0) > 1e-9:
         raise ValueError("coefficients not normalized")
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
+    if not (2 <= grid_n <= MAX_GRID_N):
+        raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}]")
     centers = (np.arange(grid_n) + 0.5) * (2.0 * math.pi / grid_n)
-    t1 = centers[:, None]
-    t2 = centers[None, :]
-    values = _bell_lhs(plane, c1, c2, t1, t2)
-    sign_case = 1 if c1 * c2 >= 0.0 else -1
-    f_scaled = 2.0 * abs(c1 * c2) * scenario_closed_form(plane, sign_case, t1, t2)
+    s = MeasurementSettings(*_components(plane, centers[:, None], centers[None, :]))
+    values = chsh_combination((correlation_closed(c1, c2, u, v) for u, v in s.pairs()), "bell")
     fraction = float(np.count_nonzero(values > VIOLATION_THRESHOLD)) / values.size
     return ViolationGrid(
         plane=plane,
@@ -139,7 +123,6 @@ def scan_region(plane: Plane, c1: float, c2: float, grid_n: int) -> ViolationGri
         axis1=centers,
         axis2=centers.copy(),
         values=values,
-        f_scaled=f_scaled,
         threshold=VIOLATION_THRESHOLD,
         violating_fraction=fraction,
     )

@@ -3,8 +3,15 @@ import math
 
 import numpy as np
 
-from belllab import CoincidenceCounts, MeasurementSettings, TwoQubitState, UnitVector3
-from belllab.agr import _bloch_data
+from belllab import (
+    CoincidenceCounts,
+    JointProbabilities,
+    MeasurementSettings,
+    TwoQubitState,
+    UnitVector3,
+    correlation_tensor,
+    projector,
+)
 
 
 def random_unit_vector(rng: np.random.Generator) -> UnitVector3:
@@ -43,6 +50,21 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def kron_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> JointProbabilities:
+    """Born probabilities from the 4x4 projector products (I +- a.sigma)/2 (x) (I +- b.sigma)/2.
+
+    Shares no code with the correlation-tensor formula of chsh.born_probabilities,
+    so it serves as that formula's oracle.
+    """
+    psi = state.amplitudes
+    vals = []
+    for pa in (projector(a), projector(-a)):
+        for pb in (projector(b), projector(-b)):
+            p = float(np.vdot(psi, np.kron(pa, pb) @ psi).real)
+            vals.append(min(1.0, max(0.0, p)))  # clip float noise at the edges
+    return JointProbabilities(*vals)
+
+
 # ------------------------------------------------ per-pair misalignment sampler
 #
 # The slow route that agr.simulate_run replaced: every pair draws its own
@@ -70,7 +92,7 @@ def per_pair_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> Coi
     rng = np.random.default_rng([cfg.seed, stream])
     n = cfg.n_pairs
     eff = cfg.efficiency
-    m_a, m_b, t = _bloch_data(cfg.state)
+    m_a, m_b, t = correlation_tensor(cfg.state)
     av, bv = a.as_array(), b.as_array()
     tallies = np.zeros(4, dtype=np.int64)
     done = 0

@@ -17,6 +17,7 @@ from belllab import (
     Plane,
     UnitVector3,
     bell1964_check,
+    canonical_coefficients,
     canonical_state,
     chsh_lhv,
     chsh_value,
@@ -186,19 +187,15 @@ def test_criterion_6_agr_desk_scale_reproduction():
 
 
 def test_criterion_7_violation_region_fractions():
-    def coefficients_for(conc):
-        gap = math.sqrt(1.0 - conc * conc)
-        return math.sqrt((1.0 + gap) / 2.0), math.sqrt((1.0 - gap) / 2.0)
-
     tol = 2.0 / 1024
     fractions = []
     for conc in (1.0, 0.8, 8.0 / 11.0):
-        grid = scan_region(Plane.XY, *coefficients_for(conc), 1024)
+        grid = scan_region(Plane.XY, *canonical_coefficients(conc), 1024)
         analytic = 2.0 * math.acos(1.0 / (conc * math.sqrt(2.0))) / (2.0 * math.pi)
         assert abs(grid.violating_fraction - analytic) <= tol
         fractions.append(grid.violating_fraction)
     assert fractions[0] > fractions[1] > fractions[2]
-    zero = scan_region(Plane.XY, *coefficients_for(0.6), 1024)
+    zero = scan_region(Plane.XY, *canonical_coefficients(0.6), 1024)
     assert zero.violating_fraction == 0.0
     report(
         7,

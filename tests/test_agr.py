@@ -20,7 +20,7 @@ from belllab import (
     simulate_run,
 )
 from belllab.agr import mean_probabilities
-from helpers import per_pair_counts, random_state, random_unit_vector
+from helpers import kron_probabilities, per_pair_counts, random_state, random_unit_vector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -181,7 +181,7 @@ class TestMeanProbabilitySampler:
             a, b = random_unit_vector(rng), random_unit_vector(rng)
             cfg = ExperimentConfig(state=state, settings=OPTIMAL, n_pairs=1)
             got = mean_probabilities(cfg, a, b).as_tuple()
-            assert got == pytest.approx(joint_probabilities(state, a, b).as_tuple(), abs=1e-14)
+            assert got == pytest.approx(kron_probabilities(state, a, b).as_tuple(), abs=1e-14)
 
     def test_damped_mean_correlation(self):
         rng = np.random.default_rng(42)

@@ -9,8 +9,10 @@ from belllab import (
     SchmidtForm,
     TwoQubitState,
     UnitVector3,
+    canonical_coefficients,
     canonical_state,
     concurrence,
+    correlation_tensor,
     make_unit_vector,
     pauli_dot,
     schmidt_decompose,
@@ -170,6 +172,49 @@ class TestCanonicalState:
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError):
             canonical_state(0.9, 0.9)
+
+
+class TestCanonicalCoefficients:
+    @pytest.mark.parametrize("conc", [1.0, 0.9, 0.8, 8.0 / 11.0, INV_SQRT2, 0.6, 0.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_concurrence_roundtrip(self, conc, sign):
+        c1, c2 = canonical_coefficients(conc, sign)
+        assert c1 >= abs(c2) and math.copysign(1.0, c2) == sign
+        form = schmidt_decompose(canonical_state(c1, c2, permissive=True))
+        assert concurrence(form) == pytest.approx(conc, abs=1e-12)
+
+    @pytest.mark.parametrize("conc, sign", [(1.1, 1), (-0.1, 1), (math.nan, 1), (0.5, 0), (0.5, 2)])
+    def test_rejects_out_of_range(self, conc, sign):
+        with pytest.raises(ValueError):
+            canonical_coefficients(conc, sign)
+
+
+class TestCorrelationTensor:
+    AXES = [UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), UnitVector3(0.0, 0.0, 1.0)]
+
+    def test_matches_matrix_expectations(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            state = random_state(rng)
+            psi = state.amplitudes
+            m_a, m_b, t = correlation_tensor(state)
+            for k, ek in enumerate(self.AXES):
+                sk = pauli_dot(ek)
+                expect_a = np.vdot(psi, np.kron(sk, np.eye(2)) @ psi).real
+                expect_b = np.vdot(psi, np.kron(np.eye(2), sk) @ psi).real
+                assert m_a[k] == pytest.approx(expect_a, abs=1e-14)
+                assert m_b[k] == pytest.approx(expect_b, abs=1e-14)
+                for l, el in enumerate(self.AXES):
+                    expect = np.vdot(psi, tensor_observable(ek, el) @ psi).real
+                    assert t[k, l] == pytest.approx(expect, abs=1e-14)
+
+    def test_canonical_state(self):
+        # T = diag(2 c1 c2, 2 c1 c2, -1) and m_a = -m_b = (c1^2 - c2^2) z.
+        for c1, c2 in ((0.8, 0.6), (0.6, -0.8), (INV_SQRT2, INV_SQRT2)):
+            m_a, m_b, t = correlation_tensor(canonical_state(c1, c2))
+            np.testing.assert_allclose(t, np.diag([2 * c1 * c2, 2 * c1 * c2, -1.0]), atol=1e-15)
+            np.testing.assert_allclose(m_a, [0.0, 0.0, c1 * c1 - c2 * c2], atol=1e-15)
+            np.testing.assert_allclose(m_b, -m_a, atol=1e-15)
 
 
 def _singular_values_closed_form(m: np.ndarray) -> tuple[float, float]:

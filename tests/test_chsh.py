@@ -10,6 +10,7 @@ from belllab import (
     TwoQubitState,
     UnitVector3,
     canonical_state,
+    chsh_combination,
     chsh_value,
     chsh_value_symmetric,
     correlation_closed,
@@ -22,7 +23,13 @@ from belllab import (
     projector_product,
 )
 from belllab.chsh import MeasurementSettings
-from helpers import random_coefficients, random_settings, random_state, random_unit_vector
+from helpers import (
+    kron_probabilities,
+    random_coefficients,
+    random_settings,
+    random_state,
+    random_unit_vector,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -167,6 +174,15 @@ class TestJointProbabilities:
         assert expected == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-12)
         assert joint_probabilities(state, X, X).as_tuple() == pytest.approx(expected, abs=1e-12)
 
+    def test_matches_kron_oracle(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            state = random_state(rng)
+            a, b = random_unit_vector(rng), random_unit_vector(rng)
+            assert joint_probabilities(state, a, b).as_tuple() == pytest.approx(
+                kron_probabilities(state, a, b).as_tuple(), abs=1e-14
+            )
+
     def test_correlation_consistency(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
@@ -247,6 +263,31 @@ class TestChshValue:
         rng = np.random.default_rng(seed)
         val = chsh_value(random_state(rng), random_settings(rng))
         assert val <= TSIRELSON + 1e-6
+
+
+class TestChshCombination:
+    P = (0.3, 0.9, -0.2, -0.5)
+
+    def test_forms(self):
+        assert chsh_combination(self.P, "bell") == abs(0.3 - 0.9) + -0.2 + -0.5
+        assert chsh_combination(self.P, "symmetric") == abs(0.3 - 0.9) + abs(-0.5 + -0.2)
+        assert chsh_combination(self.P, "signed") == 0.3 - 0.9 + -0.2 + -0.5
+
+    def test_arrays_elementwise(self):
+        rng = np.random.default_rng(23)
+        p = rng.uniform(-1.0, 1.0, size=(4, 5))
+        for form in ("bell", "symmetric", "signed"):
+            got = chsh_combination(p, form)
+            assert got.shape == (5,)
+            assert list(got) == [chsh_combination(p[:, i].tolist(), form) for i in range(5)]
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match="form"):
+            chsh_combination(self.P, "lab")
+
+    def test_pair_order(self):
+        s = gisin_settings(0.8, 0.6)
+        assert s.pairs() == ((s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b), (s.a_prime, s.b_prime))
 
 
 class TestGisinSettings:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from belllab.cli import main
+from belllab.regions import MAX_GRID_N
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -289,6 +290,49 @@ class TestConfigFile:
         cfg.write_text("this line has no equals sign\n")
         rc, _, err = run_cli(capsys, "chsh", "--config", str(cfg))
         assert rc == 2
+
+    def test_unknown_key_exit_2(self, capsys, tmp_path):
+        # A misspelled key used to be ignored silently.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sampels = 10\n")
+        rc, out, err = run_cli(
+            capsys, "lhv", "--config", str(cfg), "--gisin-for", "0.7071068", "0.7071068"
+        )
+        assert rc == 2
+        assert "sampels" in err
+        assert out == ""
+
+    def test_config_format_checked_per_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c1 = 0.7071068\nc2 = 0.7071068\ngisin = true\nformat = csv\n")
+        rc, out, err = run_cli(capsys, "chsh", "--config", str(cfg))
+        assert rc == 2
+        assert "formats are text, json" in err
+        assert out == ""
+
+
+class TestFlagsThatDidNothing:
+    # Each used to be accepted and ignored, exiting 0.
+    @pytest.mark.parametrize("argv", [
+        ["chsh", "--c1", "0.7071068", "--c2", "0.7071068", "--gisin", "--threads", "3"],
+        ["chsh", "--c1", "0.7071068", "--c2", "0.7071068", "--gisin", "--format", "csv"],
+        ["chsh", "--c1", "0.7071068", "--c2", "0.7071068", "--gisin", "--seed", "5"],
+        ["scan", "--concurrence", "1.0", "--grid", "16", "--format", "text", "--out", "g.txt"],
+        ["scan", "--concurrence", "1.0", "--grid", "16", "--radians"],
+    ])
+    def test_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_oversized_grid_exit_2(self, capsys):
+        # Used to allocate until a MemoryError traceback.
+        rc, out, err = run_cli(
+            capsys, "scan", "--concurrence", "1.0", "--grid", str(MAX_GRID_N + 1)
+        )
+        assert rc == 2
+        assert "grid_n" in err
+        assert out == ""
 
 
 class TestSelftest:

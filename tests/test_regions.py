@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from belllab import (
     Plane,
+    canonical_coefficients,
     canonical_state,
     chsh_value,
     correlation_closed,
@@ -18,16 +19,12 @@ from belllab import (
     write_grid_csv,
     write_grid_json,
 )
+from belllab.regions import MAX_GRID_N
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 angle_st = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
-
-
-def coefficients_for(concurrence: float, sign: int = 1) -> tuple[float, float]:
-    gap = math.sqrt(1.0 - concurrence * concurrence)
-    return math.sqrt((1.0 + gap) / 2.0), sign * math.sqrt((1.0 - gap) / 2.0)
 
 
 def band_fraction(concurrence: float) -> float:
@@ -124,7 +121,7 @@ class TestScenarioClosedForm:
 
 class TestScanRegion:
     def test_grid_values_match_op_composition(self):
-        c1, c2 = coefficients_for(0.8)
+        c1, c2 = canonical_coefficients(0.8)
         grid = scan_region(Plane.XY, c1, c2, 32)
         state = canonical_state(c1, c2)
         for i in (0, 7, 21):
@@ -132,33 +129,40 @@ class TestScanRegion:
                 s = scenario_settings(Plane.XY, float(grid.axis1[i]), float(grid.axis2[j]))
                 assert grid.values[i, j] == pytest.approx(chsh_value(state, s), abs=1e-12)
 
+    @staticmethod
+    def scaled_f(grid):
+        """C * f(closed form) for the grid's sign case, on the grid's axes."""
+        sign_case = 1 if grid.c1 * grid.c2 >= 0.0 else -1
+        f = scenario_closed_form(grid.plane, sign_case, grid.axis1[:, None], grid.axis2[None, :])
+        return 2.0 * abs(grid.c1 * grid.c2) * f
+
     def test_exact_lhs_equals_scaled_f_at_maximal_entanglement(self):
         for plane in Plane:
             for sign in (1, -1):
                 grid = scan_region(plane, INV_SQRT2, sign * INV_SQRT2, 64)
-                assert np.abs(grid.values - grid.f_scaled).max() < 1e-12
+                assert np.abs(grid.values - self.scaled_f(grid)).max() < 1e-12
 
     def test_xy_scaled_f_matches_at_any_entanglement(self):
         for conc in (0.9, 0.75):
-            grid = scan_region(Plane.XY, *coefficients_for(conc), 64)
-            assert np.abs(grid.values - grid.f_scaled).max() < 1e-12
+            grid = scan_region(Plane.XY, *canonical_coefficients(conc), 64)
+            assert np.abs(grid.values - self.scaled_f(grid)).max() < 1e-12
 
     @pytest.mark.parametrize(
         "conc", [1.0, 0.8, 8.0 / 11.0]
     )
     def test_fraction_matches_band_measure(self, conc):
-        grid = scan_region(Plane.XY, *coefficients_for(conc), 512)
+        grid = scan_region(Plane.XY, *canonical_coefficients(conc), 512)
         assert abs(grid.violating_fraction - band_fraction(conc)) <= 2.0 / 512
 
     def test_no_violation_below_threshold_entanglement(self):
-        grid = scan_region(Plane.XY, *coefficients_for(0.6), 512)
+        grid = scan_region(Plane.XY, *canonical_coefficients(0.6), 512)
         assert grid.violating_fraction == 0.0
-        grid = scan_region(Plane.XY, *coefficients_for(INV_SQRT2), 512)
+        grid = scan_region(Plane.XY, *canonical_coefficients(INV_SQRT2), 512)
         assert grid.violating_fraction <= 1.0 / 512
 
     def test_shrinkage_ladder(self):
         fractions = [
-            scan_region(Plane.XY, *coefficients_for(c), 256).violating_fraction
+            scan_region(Plane.XY, *canonical_coefficients(c), 256).violating_fraction
             for c in (1.0, 0.8, 8.0 / 11.0, INV_SQRT2, 0.6)
         ]
         assert all(hi >= lo for hi, lo in zip(fractions, fractions[1:]))
@@ -167,13 +171,13 @@ class TestScanRegion:
     def test_never_exceeds_tsirelson(self):
         for plane in Plane:
             for conc, sign in ((1.0, 1), (1.0, -1), (0.8, 1), (0.5, -1)):
-                c1, c2 = coefficients_for(conc, sign)
+                c1, c2 = canonical_coefficients(conc, sign)
                 grid = scan_region(plane, c1, c2, 128)
                 assert grid.values.max() <= TSIRELSON + 1e-9
 
     def test_xz_and_yz_grids_identical(self):
         for conc, sign in ((1.0, 1), (0.8, -1)):
-            c1, c2 = coefficients_for(conc, sign)
+            c1, c2 = canonical_coefficients(conc, sign)
             g_xz = scan_region(Plane.XZ, c1, c2, 96)
             g_yz = scan_region(Plane.YZ, c1, c2, 96)
             assert np.abs(g_xz.values - g_yz.values).max() < 1e-12
@@ -183,6 +187,8 @@ class TestScanRegion:
             scan_region(Plane.XY, 1.0, 1.0, 64)
         with pytest.raises(ValueError):
             scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, 1)
+        with pytest.raises(ValueError, match="grid_n"):
+            scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, MAX_GRID_N + 1)
 
 
 class TestGridExport:
