@@ -100,14 +100,20 @@ class TwoQubitState:
         return self.amplitudes.reshape(2, 2)
 
 
+def check_normalized(c1: float, c2: float, tol: float = 1e-9) -> float:
+    """c1^2 + c2^2, raising ValueError unless it is within tol of 1 (NaN and inf never are)."""
+    n2 = c1 * c1 + c2 * c2
+    if not abs(n2 - 1.0) <= tol:
+        raise ValueError(f"coefficients not normalized: c1^2 + c2^2 = {n2}")
+    return n2
+
+
 def canonical_state(c1: float, c2: float, permissive: bool = False) -> TwoQubitState:
     """State c1|01> + c2|10> with real signed coefficients, c1^2 + c2^2 = 1.
 
     Rejects the separable limit c1*c2 = 0 unless ``permissive`` is set.
     """
-    n2 = c1 * c1 + c2 * c2
-    if abs(n2 - 1.0) > 1e-9:
-        raise ValueError(f"coefficients not normalized: c1^2 + c2^2 = {n2}")
+    n2 = check_normalized(c1, c2)
     if not permissive and c1 * c2 == 0.0:
         raise ValueError("separable state (c1*c2 = 0); pass permissive=True to allow")
     n = math.sqrt(n2)

@@ -18,6 +18,7 @@ from .algebra import (
     SIGMA_Z,
     UnitVector3,
     TwoQubitState,
+    check_normalized,
     correlation_tensor,
     pauli_dot,
     tensor_observable,
@@ -106,8 +107,7 @@ def correlation_closed(c1: float, c2: float, a: UnitVector3, b: UnitVector3) -> 
     Elementwise on array components.  Region-scan cells whose exact value is 2
     are decided by this rounding: transverse products summed, then scaled.
     """
-    if abs(c1 * c1 + c2 * c2 - 1.0) > 1e-9:
-        raise ValueError("coefficients not normalized")
+    check_normalized(c1, c2)
     return 2.0 * c1 * c2 * (a.x * b.x + a.y * b.y) - a.z * b.z
 
 
@@ -162,8 +162,7 @@ def gisin_settings(c1: float, c2: float) -> MeasurementSettings:
     sign of c1*c2, and b, b' chosen so cos(beta) = -cos(beta') =
     (1 + 4(c1*c2)^2)^(-1/2) with both sines positive (beta' in (pi/2, pi)).
     """
-    if abs(c1 * c1 + c2 * c2 - 1.0) > 1e-9:
-        raise ValueError("coefficients not normalized")
+    check_normalized(c1, c2)
     prod = c1 * c2
     if prod == 0.0:
         raise SeparableStateError("c1*c2 = 0: separable state cannot violate the bound")
@@ -179,6 +178,5 @@ def gisin_settings(c1: float, c2: float) -> MeasurementSettings:
 
 def max_violation(c1: float, c2: float) -> float:
     """Largest CHSH value 2*(1 + 4*(c1*c2)^2)^(1/2) attained at gisin_settings."""
-    if abs(c1 * c1 + c2 * c2 - 1.0) > 1e-9:
-        raise ValueError("coefficients not normalized")
+    check_normalized(c1, c2)
     return 2.0 * math.sqrt(1.0 + 4.0 * (c1 * c2) ** 2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import UnitVector3
+from .algebra import UnitVector3, check_normalized
 from .chsh import MeasurementSettings, chsh_combination, correlation_closed
 
 VIOLATION_THRESHOLD = 2.0
@@ -108,8 +108,7 @@ def scan_region(plane: Plane, c1: float, c2: float, grid_n: int) -> ViolationGri
     Marks strict violations (value > 2) and reports their fraction of the
     grid_n x grid_n cells.
     """
-    if abs(c1 * c1 + c2 * c2 - 1.0) > 1e-9:
-        raise ValueError("coefficients not normalized")
+    check_normalized(c1, c2)
     if not (2 <= grid_n <= MAX_GRID_N):
         raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}]")
     centers = (np.arange(grid_n) + 0.5) * (2.0 * math.pi / grid_n)

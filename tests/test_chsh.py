@@ -367,3 +367,17 @@ class TestMaxViolation:
         for _ in range(100):
             c1, c2 = random_coefficients(rng)
             assert 2.0 <= max_violation(c1, c2) <= TSIRELSON + 1e-12
+
+
+class TestNonFiniteCoefficients:
+    # NaN used to pass every normalization check: max_violation(nan, 0.5) returned nan.
+    @pytest.mark.parametrize("c1, c2", [(math.nan, 0.5), (0.5, math.nan)])
+    @pytest.mark.parametrize("call", [
+        max_violation,
+        gisin_settings,
+        canonical_state,
+        lambda c1, c2: correlation_closed(c1, c2, Z, Z),
+    ], ids=["max_violation", "gisin_settings", "canonical_state", "correlation_closed"])
+    def test_nan_rejected(self, call, c1, c2):
+        with pytest.raises(ValueError, match="not normalized"):
+            call(c1, c2)

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 
 import pytest
 
-from belllab.cli import main
+from belllab.cli import build_parser, main
 from belllab.regions import MAX_GRID_N
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -15,6 +17,17 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def as_config(options):
+    """Config text equivalent to option flags: '--key v [v]' -> 'key = v [v]', '--flag' -> 'flag = true'."""
+    entries = []
+    for token in options:
+        if token.startswith("--"):
+            entries.append([token[2:]])
+        else:
+            entries[-1].append(token)
+    return "".join(f"{key} = {' '.join(values) or 'true'}\n" for key, *values in entries)
 
 
 class TestChshCommand:
@@ -310,6 +323,48 @@ class TestConfigFile:
         assert "formats are text, json" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, extra", [
+        # an nargs=2 key
+        (["lhv", "--model", "averaged-linear", "--samples", "5000", "--seed", "3",
+          "--gisin-for", "0.7071068", "0.7071068", "--format", "json"], ""),
+        (["lhv", "--samples", "5000", "--radians", "--alpha", "0", "--alpha-prime", "1.5707963",
+          "--beta", "0.7853982", "--beta-prime", "2.3561945"], ""),
+        # negative values, and store_true keys set to false
+        (["agr", "--pairs", "20000", "--seed", "4", "--c1", "0.7071068", "--c2", "-0.7071068",
+          "--efficiency", "0.9", "--damping", "0.97", "--b", "40"], "radians = false\n"),
+        (["agr", "--pairs", "20000", "--seed", "4", "--misalignment-sigma", "0.2", "--format", "csv"],
+         ""),
+        (["scan", "--plane", "xz", "--concurrence", "0.9", "--sign", "-1", "--grid", "32"], ""),
+        (["chsh", "--c1", "0.6", "--c2", "-0.8", "--alpha", "0", "--alpha-prime", "90",
+          "--beta", "45", "--beta-prime", "135"], "gisin = false\npermissive = false\n"),
+    ])
+    def test_config_matches_flags(self, capsys, tmp_path, argv, extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(as_config(argv[1:]) + extra)
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert run_cli(capsys, argv[0], "--config", str(cfg))[:2] == (rc, out)
+
+    def test_false_key_yields_to_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c1 = 0.7071068\nc2 = 0.7071068\ngisin = false\n")
+        rc, _, err = run_cli(capsys, "chsh", "--config", str(cfg))
+        assert rc == 2
+        assert "settings source" in err
+        rc, out, _ = run_cli(capsys, "chsh", "--config", str(cfg), "--gisin")
+        assert rc == 0
+        assert "S = 2.82842712" in out
+
+    def test_config_key_exit_2(self, capsys, tmp_path):
+        other = tmp_path / "other.cfg"
+        other.write_text("pairs = 1000\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"config = {other}\n")
+        rc, out, err = run_cli(capsys, "agr", "--config", str(cfg))
+        assert rc == 2
+        assert "config" in err
+        assert out == ""
+
 
 class TestFlagsThatDidNothing:
     # Each used to be accepted and ignored, exiting 0.
@@ -341,3 +396,45 @@ class TestSelftest:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
+
+
+class TestNonFiniteCoefficients:
+    # Used to print violating_fraction=0 for an all-NaN grid and exit 0.
+    @pytest.mark.parametrize("c1, c2", [("nan", "0.5"), ("0.5", "nan")])
+    def test_scan_nan_exit_2(self, capsys, c1, c2):
+        rc, out, err = run_cli(capsys, "scan", "--c1", c1, "--c2", c2, "--grid", "16")
+        assert rc == 2
+        assert "not normalized" in err
+        assert out == ""
+
+
+class TestNegativeSeed:
+    # The library rejects a negative seed, so the CLI keeps no check of its own.
+    @pytest.mark.parametrize("argv", [
+        ["lhv", "--samples", "1000", "--gisin-for", "0.7071068", "0.7071068"],
+        ["agr", "--pairs", "1000"],
+    ])
+    def test_exit_2(self, capsys, monkeypatch, argv):
+        assert run_cli(capsys, *argv, "--seed", "-1")[:2] == (2, "")
+        monkeypatch.setenv("BELLLAB_SEED", "-1")
+        assert run_cli(capsys, *argv)[:2] == (2, "")
+
+
+class TestHelpAndReadme:
+    def test_help_lists_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["scan", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for default in ("(default: xy)", "(default: 512)", "(default: 1)", "(default: csv)"):
+            assert default in text
+
+    def test_readme_commands_parse(self):
+        # A renamed or removed flag must not leave a stale README command behind.
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        argvs = [shlex.split(line)[1:] for line in lines if line.startswith("belllab ")]
+        assert len(argvs) == 6
+        parser = build_parser()
+        for argv in argvs:
+            parser.parse_args(argv)

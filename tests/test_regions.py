@@ -189,6 +189,9 @@ class TestScanRegion:
             scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, 1)
         with pytest.raises(ValueError, match="grid_n"):
             scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, MAX_GRID_N + 1)
+        for c1, c2 in ((math.nan, 0.5), (0.5, math.nan)):  # used to scan an all-NaN grid
+            with pytest.raises(ValueError, match="not normalized"):
+                scan_region(Plane.XY, c1, c2, 16)
 
 
 class TestGridExport:
