@@ -240,9 +240,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.concurrence is not None:
         if args.c1 is not None or args.c2 is not None:
             raise ValueError("pass either --concurrence or --c1/--c2, not both")
-        c1, c2 = canonical_coefficients(args.concurrence, args.sign)
+        c1, c2 = canonical_coefficients(args.concurrence, args.sign or 1)
     elif args.c1 is None or args.c2 is None:
         raise ValueError("pass --concurrence or both --c1 and --c2")
+    elif args.sign is not None:
+        raise ValueError("--sign applies only to --concurrence; give c2 its sign instead")
     else:
         c1, c2 = _normalize_pair(args.c1, args.c2)
     grid = scan_region(plane, c1, c2, args.grid)
@@ -472,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plane", choices=tuple(pl.value for pl in Plane), default="xy",
                    help="plane of the four analyzer orientations")
     p.add_argument("--concurrence", type=float)
-    p.add_argument("--sign", type=int, choices=(-1, 1), default=1,
-                   help="sign of c1*c2 when using --concurrence")
+    p.add_argument("--sign", type=int, choices=(-1, 1),
+                   help="sign of c1*c2 when using --concurrence (default: 1)")
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
     p.add_argument("--grid", type=int, default=512, help=f"cells per axis, at most {MAX_GRID_N}")

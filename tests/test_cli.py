@@ -7,8 +7,10 @@ import shlex
 
 import pytest
 
+from belllab import canonical_coefficients
 from belllab.cli import build_parser, main
-from belllab.regions import MAX_GRID_N
+from belllab.regions import MAX_GRID_N, Plane, scan_region
+from helpers import reference_grid_csv, reference_grid_json
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -438,3 +440,39 @@ class TestHelpAndReadme:
         parser = build_parser()
         for argv in argvs:
             parser.parse_args(argv)
+
+
+class TestScanSign:
+    # --sign used to be ignored next to --c1/--c2, exiting 0 with the c2 > 0 grid.
+    def test_sign_with_coefficients_exit_2(self, capsys):
+        argv = ["scan", "--c1", "0.6", "--c2", "0.8", "--grid", "16"]
+        assert run_cli(capsys, *argv)[0] == 0
+        for sign in ("-1", "1"):
+            rc, out, err = run_cli(capsys, *argv, "--sign", sign)
+            assert (rc, out) == (2, "")
+            assert "--sign" in err
+
+    def test_sign_config_key_with_coefficients_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c1 = 0.6\nc2 = 0.8\nsign = -1\n")
+        rc, out, err = run_cli(capsys, "scan", "--config", str(cfg), "--grid", "16")
+        assert (rc, out) == (2, "")
+        assert "--sign" in err
+
+    def test_concurrence_sign_defaults_to_plus(self, capsys):
+        plain = run_cli(capsys, "scan", "--concurrence", "0.8", "--grid", "16")
+        assert plain == run_cli(capsys, "scan", "--concurrence", "0.8", "--sign", "1", "--grid", "16")
+        assert "c2=0.447213595" in plain[1]
+
+
+class TestScanExportMatchesReference:
+    @pytest.mark.parametrize("fmt, reference", [("csv", reference_grid_csv),
+                                                ("json", reference_grid_json)])
+    def test_byte_identical(self, capsys, tmp_path, fmt, reference):
+        out_file, ref_file = tmp_path / f"grid.{fmt}", tmp_path / f"ref.{fmt}"
+        rc, _, _ = run_cli(capsys, "scan", "--plane", "xz", "--concurrence", "0.9", "--sign", "-1",
+                           "--grid", "64", "--format", fmt, "--out", str(out_file))
+        assert rc == 0
+        c1, c2 = canonical_coefficients(0.9, -1)
+        reference(scan_region(Plane.XZ, c1, c2, 64), ref_file)
+        assert out_file.read_bytes() == ref_file.read_bytes()

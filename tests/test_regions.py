@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from belllab import (
     write_grid_json,
 )
 from belllab.regions import MAX_GRID_N
+from helpers import reference_grid_csv, reference_grid_json
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -227,3 +229,45 @@ class TestGridExport:
         write_grid_csv(grid, p1)
         write_grid_csv(grid, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+EXPORT_CASES = [(conc, sign) for conc in (1.0, 0.9, 8.0 / 11.0, 0.6) for sign in (-1, 1)]
+
+
+def assert_exports_match_reference(grid, tmp_path):
+    for writer, reference in ((write_grid_csv, reference_grid_csv),
+                              (write_grid_json, reference_grid_json)):
+        new, old = tmp_path / "new", tmp_path / "old"
+        writer(grid, new)
+        reference(grid, old)
+        assert new.read_bytes() == old.read_bytes(), writer.__name__
+
+
+class TestStreamedExport:
+    # The row-streamed writers must write the reference writers' bytes exactly.
+    @pytest.mark.parametrize("grid_n", [2, 3, 16, 64])
+    @pytest.mark.parametrize("plane", list(Plane))
+    def test_byte_identical_to_reference(self, tmp_path, plane, grid_n):
+        for conc, sign in EXPORT_CASES:
+            grid = scan_region(plane, *canonical_coefficients(conc, sign), grid_n)
+            assert_exports_match_reference(grid, tmp_path)
+
+    # About 2 s a case at grid 512, so each (C, sign) runs once, the planes taking turns.
+    @pytest.mark.parametrize("plane, conc, sign", [
+        (list(Plane)[i % 3], conc, sign) for i, (conc, sign) in enumerate(EXPORT_CASES)
+    ])
+    def test_byte_identical_at_grid_512(self, tmp_path, plane, conc, sign):
+        grid = scan_region(plane, *canonical_coefficients(conc, sign), 512)
+        assert_exports_match_reference(grid, tmp_path)
+
+    @pytest.mark.parametrize("writer", [write_grid_csv, write_grid_json])
+    def test_memory_is_one_row(self, tmp_path, writer):
+        # A whole-grid tolist() costs several times values.nbytes.
+        grid = scan_region(Plane.XZ, INV_SQRT2, -INV_SQRT2, 1024)
+        tracemalloc.start()
+        try:
+            writer(grid, tmp_path / "grid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.values.nbytes / 4
