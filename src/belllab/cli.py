@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
                 ("text", "json"))
     p.add_argument("--model", choices=tuple(sorted(BUILTIN_MODELS)), default="bell-sign",
                    help="local hidden-variable model")
-    p.add_argument("--samples", type=int, default=100_000, help="samples per orientation pair")
+    p.add_argument("--samples", type=int, default=100_000, help="hidden-variable draws shared by the four orientation pairs")
     p.add_argument("--gisin-for", nargs=2, type=float, metavar=("C1", "C2"),
                    help="use the maximizing quadruple for these coefficients")
     p.add_argument("--seed", type=int, help=seed_help)

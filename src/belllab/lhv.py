@@ -5,10 +5,17 @@ functions; Bell locality is built into the interface, since ``response_a``
 receives only the local setting and the hidden variable (never the remote
 setting), and symmetrically for ``response_b``.  Responses are bounded by 1
 in modulus and may be deterministic (+-1 outcomes) or device-averaged.
+
+Every estimate draws one hidden-variable stream and evaluates all of its
+orientation pairs on the same draws, as Bell's derivation of the CHSH
+inequality assumes one distribution rho(lambda) for all four settings.  Each
+draw's CHSH combination is then at most 2 in modulus, so for +-1 responses
+the estimated S <= 2 holds exactly, not only within statistical error.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +24,8 @@ from .algebra import UnitVector3
 from .chsh import MeasurementSettings, chsh_combination
 
 # Samples are drawn in fixed-size blocks so results depend only on (seed, n).
-_BLOCK = 1 << 20
+# 2**16 keeps a block's lambda and response arrays to a few MB.
+_BLOCK = 1 << 16
 
 
 def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -123,6 +131,59 @@ BUILTIN_MODELS = {
 }
 
 
+def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the pair products over one hidden-variable stream of n draws.
+
+    lambda is drawn once per block and shared by every (x, y) in ``pairs``;
+    each distinct setting's response is evaluated once per side.  With
+    P_i = response_a(x_i) * response_b(y_i) per draw, returns the k sums of
+    P_i and the k x k matrix of the sums of P_i * P_j.  For +-1 responses
+    both hold exact integers.
+    """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise TypeError(f"sample count must be an integer, not {type(n).__name__}")
+    if n < 1:
+        raise ValueError("sample count must be >= 1")
+    side_a = list(dict.fromkeys(x for x, _ in pairs))
+    side_b = list(dict.fromkeys(y for _, y in pairs))
+    index = [(side_a.index(x), side_b.index(y)) for x, y in pairs]
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(len(pairs))
+    moments = np.zeros((len(pairs), len(pairs)))
+    buf = np.empty((len(pairs), min(_BLOCK, n)))
+    done = 0
+    while done < n:
+        m = min(_BLOCK, n - done)
+        lam = model.sample_lambda(rng, m)
+        resp_a = [np.asarray(model.response_a(x, lam)) for x in side_a]
+        resp_b = [np.asarray(model.response_b(y, lam)) for y in side_b]
+        prod = buf[:, :m]
+        for row, (i, j) in zip(prod, index):
+            np.multiply(resp_a[i], resp_b[j], out=row)
+        sums += prod.sum(axis=1)
+        moments += prod @ prod.T
+        done += m
+    return sums, moments
+
+
+def _std_error(sums: np.ndarray, moments: np.ndarray, n: int, w) -> float:
+    """Standard error of the mean of w . P: its sample deviation (ddof 1) over sqrt(n)."""
+    if n == 1:
+        return 0.0
+    w = np.asarray(w, dtype=float)
+    mean = float(w @ sums) / n
+    var = max(0.0, (float(w @ moments @ w) - n * mean * mean) / (n - 1))
+    return math.sqrt(var / n)
+
+
+def _estimate(sums: np.ndarray, moments: np.ndarray, n: int, i: int) -> CorrelationEstimate:
+    return CorrelationEstimate(float(sums[i]) / n, _std_error(sums, moments, n, np.eye(len(sums))[i]), n)
+
+
+def _sign(x: float) -> float:
+    return 1.0 if x >= 0.0 else -1.0
+
+
 def estimate_correlation(model, a: UnitVector3, b: UnitVector3, n: int, seed) -> CorrelationEstimate:
     """Monte Carlo mean of response_a * response_b over n hidden-variable draws.
 
@@ -130,44 +191,25 @@ def estimate_correlation(model, a: UnitVector3, b: UnitVector3, n: int, seed) ->
     (seed, n) are bit-identical.  The standard error is the sample standard
     deviation over sqrt(n) (zero when n = 1).
     """
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        m = min(_BLOCK, n - done)
-        lam = model.sample_lambda(rng, m)
-        prod = np.asarray(model.response_a(a, lam)) * np.asarray(model.response_b(b, lam))
-        total += float(np.sum(prod))
-        total_sq += float(np.sum(prod * prod))
-        done += m
-    mean = total / n
-    if n > 1:
-        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
-    return CorrelationEstimate(value=mean, std_error=se, n_samples=n)
-
-
-def _pair_streams(seed, k: int) -> list[np.random.SeedSequence]:
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return base.spawn(k)
+    sums, moments = _shared_stream_sums(model, ((a, b),), n, seed)
+    return _estimate(sums, moments, n, 0)
 
 
 def chsh_lhv(model, s: MeasurementSettings, n: int, seed) -> ChshEstimate:
-    """CHSH value from four correlation estimates with per-pair derived streams.
+    """CHSH value of a local model from one hidden-variable stream shared by all four pairs.
 
-    Each orientation pair draws its own hidden-variable stream spawned
-    deterministically from ``seed``; errors combine in quadrature.
+    Each of the n draws of lambda from ``seed`` feeds all four orientation
+    pairs, as in Bell's derivation, so S is formed from the exact sums of the
+    pair products and, for +-1 responses, S <= 2 holds exactly.  The standard
+    error is the sample deviation of the per-draw combination
+    s_x*(AB - AB') + s_y*(A'B' + A'B) over sqrt(n), with s_x and s_y the signs
+    inside the two moduli; each correlation estimate keeps n_samples = n.
     """
-    streams = _pair_streams(seed, 4)
-    est = [estimate_correlation(model, a, b, n, st) for (a, b), st in zip(s.pairs(), streams)]
-    value = chsh_combination([e.value for e in est], "symmetric")
-    se = math.sqrt(sum(e.std_error ** 2 for e in est))
-    return ChshEstimate(value, se, *est)
+    sums, moments = _shared_stream_sums(model, s.pairs(), n, seed)
+    s_x, s_y = _sign(sums[0] - sums[1]), _sign(sums[2] + sums[3])
+    se = _std_error(sums, moments, n, (s_x, -s_x, s_y, s_y))
+    value = float(chsh_combination(sums, "symmetric")) / n
+    return ChshEstimate(value, se, *(_estimate(sums, moments, n, i) for i in range(4)))
 
 
 def bell1964_check(
@@ -179,26 +221,23 @@ def bell1964_check(
     seed,
     anticorrelation_tol: float = 1e-6,
 ) -> Bell1964Result:
-    """Evaluate |E(a,b) - E(a,b')| against 1 + E(b',b).
+    """Evaluate |E(a,b) - E(a,b')| against 1 + E(b',b) on one shared hidden-variable stream.
 
     The reduction assumes perfect anticorrelation at equal settings, so the
-    model must give E(b', b') = -1; this is estimated first and a
+    model must give E(b', b') = -1; it is estimated from the same draws and a
     PreconditionError is raised when it fails beyond statistical tolerance.
     """
-    streams = _pair_streams(seed, 4)
-    anti = estimate_correlation(model, b_prime, b_prime, n, streams[0])
+    pairs = ((b_prime, b_prime), (a, b), (a, b_prime), (b_prime, b))
+    sums, moments = _shared_stream_sums(model, pairs, n, seed)
+    anti = _estimate(sums, moments, n, 0)
     if abs(anti.value + 1.0) > anticorrelation_tol + 5.0 * anti.std_error:
         raise PreconditionError(
             f"E(b', b') = {anti.value:.6f} != -1: the 1964 reduction does not apply"
         )
-    e_ab = estimate_correlation(model, a, b, n, streams[1])
-    e_abp = estimate_correlation(model, a, b_prime, n, streams[2])
-    e_bpb = estimate_correlation(model, b_prime, b, n, streams[3])
-    lhs = abs(e_ab.value - e_abp.value)
-    rhs = 1.0 + e_bpb.value
+    sign = _sign(sums[1] - sums[2])
     return Bell1964Result(
-        lhs=lhs,
-        rhs=rhs,
-        lhs_std_error=math.hypot(e_ab.std_error, e_abp.std_error),
-        rhs_std_error=e_bpb.std_error,
+        lhs=float(abs(sums[1] - sums[2])) / n,
+        rhs=float(n + sums[3]) / n,
+        lhs_std_error=_std_error(sums, moments, n, (0.0, sign, -sign, 0.0)),
+        rhs_std_error=_std_error(sums, moments, n, (0.0, 0.0, 0.0, 1.0)),
     )

@@ -121,6 +121,38 @@ def per_pair_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> Coi
     return CoincidenceCounts(*(int(c) for c in tallies), n_pairs=n)
 
 
+# ------------------------------------------------- per-pair LHV streams
+#
+# The estimator lhv.chsh_lhv replaced: each orientation pair draws its own
+# hidden-variable stream, spawned from the seed, in blocks of 2**20.  Kept as
+# the oracle of the shared-stream estimator.
+
+REFERENCE_LHV_BLOCK = 1 << 20
+
+
+def per_pair_correlation(model, a: UnitVector3, b: UnitVector3, n: int, seed) -> tuple[float, float]:
+    """(mean, standard error) of response_a * response_b over n draws of its own stream."""
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    done = 0
+    while done < n:
+        m = min(REFERENCE_LHV_BLOCK, n - done)
+        lam = model.sample_lambda(rng, m)
+        prod = np.asarray(model.response_a(a, lam)) * np.asarray(model.response_b(b, lam))
+        total += float(np.sum(prod))
+        total_sq += float(np.sum(prod * prod))
+        done += m
+    mean = total / n
+    var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+    return mean, math.sqrt(var / n)
+
+
+def per_pair_chsh_lhv(model, s: MeasurementSettings, n: int, seed) -> list[tuple[float, float]]:
+    """(E, standard error) of the four pairs in CHSH order, each on a stream spawned from seed."""
+    streams = np.random.SeedSequence(seed).spawn(4)
+    return [per_pair_correlation(model, a, b, n, st) for (a, b), st in zip(s.pairs(), streams)]
+
+
 # ------------------------------------------------------- reference grid writers
 #
 # The writers regions.write_grid_csv / write_grid_json replaced: a csv.writer

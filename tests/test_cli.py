@@ -158,6 +158,15 @@ class TestLhvCommand:
         assert "S = " in out
         assert "pass" in out
 
+    def test_single_sample_stays_within_the_local_bound(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "lhv", "--samples", "1", "--gisin-for", "0.7071068", "0.7071068", "--format", "json",
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["S"] <= 2.0
+        assert payload["within_local_bound"] is True
+
     def test_bit_identical_reruns(self, capsys):
         argv = [
             "lhv", "--model", "bell-sign", "--samples", "20000", "--seed", "42",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from belllab import (
     make_unit_vector,
 )
 from belllab.chsh import MeasurementSettings
-from helpers import random_settings, random_unit_vector
+from belllab.lhv import _BLOCK
+from helpers import per_pair_chsh_lhv, random_settings, random_unit_vector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 Z = UnitVector3(0, 0, 1)
@@ -41,11 +43,16 @@ class ConstantModel:
 
 
 class SpyModel(ConstantModel):
-    """Records which settings each side's response function ever sees."""
+    """Records the draw sizes and which settings each side's response function ever sees."""
 
     def __init__(self):
+        self.draws = []
         self.seen_a = []
         self.seen_b = []
+
+    def sample_lambda(self, rng, n=1):
+        self.draws.append(n)
+        return super().sample_lambda(rng, n)
 
     def response_a(self, a, lam):
         self.seen_a.append(a)
@@ -54,6 +61,42 @@ class SpyModel(ConstantModel):
     def response_b(self, b, lam):
         self.seen_b.append(b)
         return super().response_b(b, lam)
+
+
+class NoDrawModel(ConstantModel):
+    """Fails on any hidden-variable draw."""
+
+    def sample_lambda(self, rng, n=1):
+        raise AssertionError("drew hidden variables")
+
+
+def shared_draws(model, n, seed):
+    """The hidden variables of one (seed, n) stream, drawn block by block as the estimators do."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([model.sample_lambda(rng, min(_BLOCK, n - k)) for k in range(0, n, _BLOCK)])
+
+
+SAMPLE_COUNT_CALLS = {
+    "estimate_correlation": lambda model, n: estimate_correlation(model, Z, Z, n, seed=0),
+    "chsh_lhv": lambda model, n: chsh_lhv(model, gisin_settings(INV_SQRT2, INV_SQRT2), n, seed=0),
+    "bell1964_check": lambda model, n: bell1964_check(model, Z, Z, Z, n, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_COUNT_CALLS))
+class TestSampleCountValidation:
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "10", None])
+    def test_non_integer_rejected_before_any_draw(self, name, n):
+        with pytest.raises(TypeError, match="sample count"):
+            SAMPLE_COUNT_CALLS[name](NoDrawModel(), n)
+
+    @pytest.mark.parametrize("n", [0, -3, np.int64(0)])
+    def test_non_positive_rejected_before_any_draw(self, name, n):
+        with pytest.raises(ValueError, match="sample count"):
+            SAMPLE_COUNT_CALLS[name](NoDrawModel(), n)
+
+    def test_numpy_integer_accepted(self, name):
+        SAMPLE_COUNT_CALLS[name](BellSignModel(), np.int64(10))
 
 
 class TestEstimateCorrelation:
@@ -132,11 +175,78 @@ class TestChshLhv:
         e2 = chsh_lhv(BellSignModel(), settings, 20_000, seed=4)
         assert e1 == e2
 
-    def test_error_combines_in_quadrature(self):
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    @pytest.mark.parametrize("n", [1000, 2 * _BLOCK + 1])
+    def test_error_is_deviation_of_the_combination(self, name, n):
+        # The four estimates share lambda, so the error of S is the spread of
+        # the per-draw combination, not the quadrature of the four errors.
+        rng = np.random.default_rng(37)
+        model = BUILTIN_MODELS[name]()
+        for seed in range(3):
+            s = random_settings(rng)
+            est = chsh_lhv(model, s, n, seed=seed)
+            lam = shared_draws(model, n, seed)
+            a, ap = (model.response_a(v, lam) for v in (s.a, s.a_prime))
+            b, bp = (model.response_b(v, lam) for v in (s.b, s.b_prime))
+            s_x = 1.0 if est.e_ab.value >= est.e_abp.value else -1.0
+            s_y = 1.0 if est.e_apbp.value + est.e_apb.value >= 0.0 else -1.0
+            combination = s_x * (a * b - a * bp) + s_y * (ap * bp + ap * b)
+            assert est.value == pytest.approx(combination.mean(), abs=1e-12)
+            assert abs(est.std_error - np.std(combination, ddof=1) / math.sqrt(n)) <= 1e-12
+            for e, (x, y) in zip(est.correlations(), ((a, b), (a, bp), (ap, b), (ap, bp))):
+                assert e.n_samples == n
+                assert e.value == pytest.approx((x * y).mean(), abs=1e-12)
+                assert abs(e.std_error - np.std(x * y, ddof=1) / math.sqrt(n)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_agrees_with_per_pair_streams(self, name):
+        # Oracle: the estimator with one independent stream per pair.
+        rng = np.random.default_rng(38)
+        model = BUILTIN_MODELS[name]()
+        for seed in range(50):
+            s = random_settings(rng)
+            est = chsh_lhv(model, s, 20_000, seed=seed)
+            ref = per_pair_chsh_lhv(model, s, 20_000, seed=1000 + seed)
+            for e, (value, se) in zip(est.correlations(), ref):
+                assert abs(e.value - value) <= 5.0 * math.hypot(e.std_error, se)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2 * _BLOCK + 1])
+    def test_local_bound_holds_exactly(self, n):
+        # +-1 responses give integer sums, so S <= 2 with no tolerance;
+        # bounded real responses reach it up to float rounding.
+        rng = np.random.default_rng(39)
+        for seed in range(200):
+            s = random_settings(rng)
+            assert chsh_lhv(BellSignModel(), s, n, seed=seed).value <= 2.0
+            assert chsh_lhv(AveragedLinearModel(), s, n, seed=seed).value <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("c2", [-INV_SQRT2, INV_SQRT2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 2 * _BLOCK + 1])
+    def test_gisin_settings_give_exactly_two(self, c2, n):
+        # Every draw of the sign model saturates the bound at these settings.
+        est = chsh_lhv(BellSignModel(), gisin_settings(INV_SQRT2, c2), n, seed=n)
+        assert est.value == 2.0
+        assert est.std_error == 0.0
+
+    def test_one_draw_and_four_responses_per_block(self):
+        spy = SpyModel()
+        s = random_settings(np.random.default_rng(40))
+        chsh_lhv(spy, s, 2 * _BLOCK + 1, seed=0)
+        assert spy.draws == [_BLOCK, _BLOCK, 1]
+        assert spy.seen_a == [s.a, s.a_prime] * 3
+        assert spy.seen_b == [s.b, s.b_prime] * 3
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_memory_stays_within_blocks(self, name):
+        # Whole-run or 2**20-sample blocks would peak near 60 MiB here.
         settings = gisin_settings(INV_SQRT2, INV_SQRT2)
-        est = chsh_lhv(BellSignModel(), settings, 20_000, seed=5)
-        expected = math.sqrt(sum(e.std_error ** 2 for e in est.correlations()))
-        assert est.std_error == pytest.approx(expected, rel=1e-12)
+        tracemalloc.start()
+        try:
+            chsh_lhv(BUILTIN_MODELS[name](), settings, 1_000_000, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestBell1964:
@@ -169,6 +279,16 @@ class TestBell1964:
         res = bell1964_check(BellSignModel(), a, b, b_prime, 400_000, seed=7)
         assert abs(res.lhs - 0.0) <= 5.0 * res.lhs_std_error
         assert abs(res.rhs - 2.0) <= 5.0 * res.rhs_std_error
+
+    def test_sign_model_holds_exactly(self):
+        # Perfect anticorrelation on one shared stream bounds the integer sums:
+        # |sum AB - sum AB'| <= n + sum A(b')B(b), for any triple.
+        rng = np.random.default_rng(41)
+        for seed in range(50):
+            a, b, b_prime = (random_unit_vector(rng) for _ in range(3))
+            for n in (1, 2, 3, 10_000):
+                res = bell1964_check(BellSignModel(), a, b, b_prime, n, seed=seed)
+                assert res.lhs <= res.rhs
 
     def test_precondition_rejects_averaged_model(self):
         # E(b', b') = -1/3 for the linear model: the reduction does not apply.
