@@ -15,7 +15,6 @@ from .algebra import (
     SchmidtForm,
     TwoQubitState,
     UnitVector3,
-    angle_between,
     canonical_coefficients,
     canonical_state,
     concurrence,
@@ -38,7 +37,6 @@ from .chsh import (
     joint_probabilities,
     max_violation,
     projector,
-    projector_product,
 )
 from .lhv import (
     BUILTIN_MODELS,

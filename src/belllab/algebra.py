@@ -58,11 +58,6 @@ def make_unit_vector(theta: float, phi: float) -> UnitVector3:
     return UnitVector3(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
 
 
-def angle_between(a: UnitVector3, b: UnitVector3) -> float:
-    """Angle in [0, pi] between two unit vectors."""
-    return math.acos(min(1.0, max(-1.0, a.dot(b))))
-
-
 def pauli_dot(n: UnitVector3) -> np.ndarray:
     """Spin observable n . sigma: Hermitian, traceless, squares to identity."""
     return n.x * SIGMA_X + n.y * SIGMA_Y + n.z * SIGMA_Z

@@ -13,9 +13,6 @@ import numpy as np
 
 from .algebra import (
     IDENTITY2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     UnitVector3,
     TwoQubitState,
     check_normalized,
@@ -70,25 +67,6 @@ class JointProbabilities:
 def projector(n: UnitVector3) -> np.ndarray:
     """Rank-1 projector (I + n.sigma) / 2 onto the +1 eigenstate of n.sigma."""
     return 0.5 * (IDENTITY2 + pauli_dot(n))
-
-
-def _sigma_dot(v: np.ndarray) -> np.ndarray:
-    """n.sigma for an arbitrary (not necessarily unit) 3-vector."""
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
-
-
-def projector_product(a: UnitVector3, b: UnitVector3) -> np.ndarray:
-    """Product of the two rank-1 projectors in closed form.
-
-    ab = I/4 + (a + b).sigma/4 + (a.b) I/4 + i (a x b).sigma/4; it vanishes
-    exactly when b = -a, the only case where the projectors are orthogonal.
-    """
-    av, bv = a.as_array(), b.as_array()
-    return (
-        0.25 * (1.0 + a.dot(b)) * IDENTITY2
-        + 0.25 * _sigma_dot(av + bv)
-        + 0.25j * _sigma_dot(np.cross(av, bv))
-    )
 
 
 def correlation_matrix(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> float:

@@ -5,6 +5,8 @@ functions; Bell locality is built into the interface, since ``response_a``
 receives only the local setting and the hidden variable (never the remote
 setting), and symmetrically for ``response_b``.  Responses are bounded by 1
 in modulus and may be deterministic (+-1 outcomes) or device-averaged.
+Both built-in models draw lambda uniform on the unit sphere by Marsaglia's
+disc method, which needs no trigonometric call.
 
 Every estimate draws one hidden-variable stream and evaluates all of its
 orientation pairs on the same draws, as Bell's derivation of the CHSH
@@ -24,16 +26,37 @@ from .algebra import UnitVector3
 from .chsh import MeasurementSettings, chsh_combination
 
 # Samples are drawn in fixed-size blocks so results depend only on (seed, n).
-# 2**16 keeps a block's lambda and response arrays to a few MB.
-_BLOCK = 1 << 16
+# At 2**14 a block's lambda, sampler, response and product arrays take about
+# 2 MB together, so each numpy pass over them runs in a per-core L2 cache and
+# the peak memory stays at a few blocks.
+_BLOCK = 1 << 14
 
 
 def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points uniform on the unit sphere: z uniform, then azimuth uniform."""
-    z = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    """n points uniform on the unit sphere by Marsaglia's disc method.
+
+    Pairs (u, v) uniform on [-1, 1]^2 are kept, in draw order, while
+    s = u^2 + v^2 < 1; each maps to (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s),
+    which is exactly uniform on the sphere with no trigonometric call
+    (G. Marsaglia, Ann. Math. Stat. 43, 645 (1972)).  A round draws about
+    1.31 k + 64 pairs for the k points still missing; pi/4 of them land in
+    the disc, so one round almost always fills the block.
+    """
+    out = np.empty((3, n))
+    done = 0
+    while done < n:
+        k = n - done
+        uv = rng.uniform(-1.0, 1.0, (2, k + k // 4 + k // 16 + 64))
+        uv = np.compress(uv[0] * uv[0] + uv[1] * uv[1] < 1.0, uv, axis=1)[:, :k]
+        u, v = uv
+        s = u * u + v * v
+        m = len(s)
+        w = np.sqrt(1.0 - s)
+        w *= 2.0
+        np.multiply(uv, w, out=out[:2, done:done + m])
+        np.subtract(1.0, 2.0 * s, out=out[2, done:done + m])
+        done += m
+    return out.T
 
 
 class PreconditionError(ValueError):
@@ -87,10 +110,11 @@ class Bell1964Result:
 class BellSignModel:
     """Deterministic +-1 responses from a hidden unit vector.
 
-    The hidden variable is uniform on the sphere (z uniform in [-1, 1],
-    azimuth uniform in [0, 2*pi), drawn in that order); side A answers
+    The hidden variable is uniform on the sphere, drawn by Marsaglia's disc
+    method (a point (u, v) uniform in the unit disc, with s = u^2 + v^2, maps
+    to (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s)).  Side A answers
     sign(a . lam) and side B answers -sign(b . lam), with the measure-zero
-    tie a . lam = 0 resolved to +1.  The exact correlation is
+    tie a . lam = 0 (+0.0 or -0.0) resolved to +1.  The exact correlation is
     E(a, b) = -1 + 2*theta/pi at relative angle theta.
     """
 
@@ -100,17 +124,19 @@ class BellSignModel:
         return _sample_sphere(rng, n)
 
     def response_a(self, a: UnitVector3, lam: np.ndarray) -> np.ndarray:
-        return np.where(lam @ a.as_array() >= 0.0, 1.0, -1.0)
+        # Arithmetic on the comparison instead of np.where: the same values, several times faster.
+        return (lam @ a.as_array() >= 0.0) * 2.0 - 1.0
 
     def response_b(self, b: UnitVector3, lam: np.ndarray) -> np.ndarray:
-        return -np.where(lam @ b.as_array() >= 0.0, 1.0, -1.0)
+        return 1.0 - (lam @ b.as_array() >= 0.0) * 2.0
 
 
 class AveragedLinearModel:
     """Device-averaged responses a . lam and -(b . lam), bounded by 1 in modulus.
 
-    Exercises the non-deterministic-outcome case; the exact correlation is
-    E(a, b) = -(a . b)/3 for a hidden vector uniform on the sphere.
+    Exercises the non-deterministic-outcome case.  The hidden vector is
+    drawn uniform on the sphere as in ``BellSignModel``, and the exact
+    correlation is E(a, b) = -(a . b)/3.
     """
 
     name = "averaged-linear"

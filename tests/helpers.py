@@ -121,6 +121,21 @@ def per_pair_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> Coi
     return CoincidenceCounts(*(int(c) for c in tallies), n_pairs=n)
 
 
+# ------------------------------------------------ trigonometric sphere sampler
+#
+# The sampler lhv._sample_sphere replaced: z uniform on [-1, 1], then the
+# azimuth uniform on [0, 2*pi), which is uniform on the sphere by Archimedes'
+# hat-box theorem.  Kept as the oracle of the disc-rejection sampler.
+
+
+def reference_sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points uniform on the unit sphere from z and the azimuth, as an (n, 3) array."""
+    z = rng.uniform(-1.0, 1.0, n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+
+
 # ------------------------------------------------- per-pair LHV streams
 #
 # The estimator lhv.chsh_lhv replaced: each orientation pair draws its own

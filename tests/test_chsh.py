@@ -20,7 +20,6 @@ from belllab import (
     make_unit_vector,
     max_violation,
     projector,
-    projector_product,
 )
 from belllab.chsh import MeasurementSettings
 from helpers import (
@@ -56,36 +55,6 @@ class TestProjector:
             np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
             evals = np.sort(np.linalg.eigvalsh(p))
             np.testing.assert_allclose(evals, [0.0, 1.0], atol=1e-12)
-
-
-class TestProjectorProduct:
-    def test_antipodal_gives_zero(self):
-        np.testing.assert_allclose(
-            projector_product(Z, -Z), np.zeros((2, 2)), atol=1e-15
-        )
-
-    def test_equal_directions_idempotence(self):
-        np.testing.assert_allclose(projector_product(Z, Z), projector(Z), atol=1e-15)
-
-    def test_orthogonal_directions_trace(self):
-        m = projector_product(Z, X)
-        assert np.trace(m) == pytest.approx(0.5, abs=1e-15)
-        np.testing.assert_allclose(m, projector(Z) @ projector(X), atol=1e-15)
-
-    def test_matches_explicit_multiplication(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            a, b = random_unit_vector(rng), random_unit_vector(rng)
-            np.testing.assert_allclose(
-                projector_product(a, b), projector(a) @ projector(b), atol=1e-12
-            )
-
-    def test_zero_only_for_antipodal(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            a, b = random_unit_vector(rng), random_unit_vector(rng)
-            if a.dot(b) > -1.0 + 1e-6:
-                assert np.abs(projector_product(a, b)).max() > 1e-12
 
 
 class TestCorrelationMatrix:

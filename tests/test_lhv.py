@@ -16,12 +16,21 @@ from belllab import (
     gisin_settings,
     make_unit_vector,
 )
+from belllab import lhv
 from belllab.chsh import MeasurementSettings
 from belllab.lhv import _BLOCK
-from helpers import per_pair_chsh_lhv, random_settings, random_unit_vector
+from helpers import per_pair_chsh_lhv, random_settings, random_unit_vector, reference_sample_sphere
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 Z = UnitVector3(0, 0, 1)
+
+# A stream of several full blocks and a one-draw tail.
+MULTI_BLOCK_N = 131_073
+assert MULTI_BLOCK_N > 2 * _BLOCK and MULTI_BLOCK_N % _BLOCK == 1
+
+# Upper 1e-6 quantile of the chi-square distribution with 49 degrees of
+# freedom: the pass mark of a 50-bin goodness-of-fit test.
+CHI2_49_CRIT = 111.14
 
 
 def bell_sign_exact(theta: float) -> float:
@@ -135,6 +144,23 @@ class TestEstimateCorrelation:
         assert e1.value == e2.value
         assert e1.std_error == e2.std_error
 
+    def test_sign_responses_match_the_branching_form_bitwise(self):
+        rng = np.random.default_rng(43)
+        model = BellSignModel()
+        lam = rng.normal(size=(10_000, 3))
+        # Rows whose products with (1, 0, 0) are all +0.0 or all -0.0, so the
+        # dot product is a signed zero whichever order it is summed in.
+        lam[:4] = [[0.0, 0.5, 0.5], [-0.0, -0.5, -0.5], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]
+        x_axis = UnitVector3(1.0, 0.0, 0.0)
+        for v in (x_axis, Z, random_unit_vector(rng)):
+            branch_a = np.where(lam @ v.as_array() >= 0.0, 1.0, -1.0)
+            np.testing.assert_array_equal(model.response_a(v, lam).view(np.uint64), branch_a.view(np.uint64))
+            np.testing.assert_array_equal(model.response_b(v, lam).view(np.uint64), (-branch_a).view(np.uint64))
+        # A signed-zero tie answers +1 on side A and -1 on side B.
+        assert np.all(lam[:4] @ x_axis.as_array() == 0.0)
+        np.testing.assert_array_equal(model.response_a(x_axis, lam[:4]), 1.0)
+        np.testing.assert_array_equal(model.response_b(x_axis, lam[:4]), -1.0)
+
     def test_tie_resolves_to_plus_one(self):
         model = BellSignModel()
         lam = np.array([[1.0, 0.0, 0.0]])  # orthogonal to z: a . lam = 0
@@ -176,7 +202,7 @@ class TestChshLhv:
         assert e1 == e2
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
-    @pytest.mark.parametrize("n", [1000, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("n", [1000, MULTI_BLOCK_N])
     def test_error_is_deviation_of_the_combination(self, name, n):
         # The four estimates share lambda, so the error of S is the spread of
         # the per-draw combination, not the quadrature of the four errors.
@@ -210,7 +236,21 @@ class TestChshLhv:
             for e, (value, se) in zip(est.correlations(), ref):
                 assert abs(e.value - value) <= 5.0 * math.hypot(e.std_error, se)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_agrees_with_trigonometric_sampler(self, name, monkeypatch):
+        # Oracle: the same estimator with hidden variables drawn from z and the azimuth.
+        rng = np.random.default_rng(42)
+        quadruples = [gisin_settings(INV_SQRT2, INV_SQRT2)] + [random_settings(rng) for _ in range(4)]
+        model = BUILTIN_MODELS[name]()
+        new = [chsh_lhv(model, s, 200_000, seed=seed) for seed, s in enumerate(quadruples)]
+        monkeypatch.setattr(lhv, "_sample_sphere", reference_sample_sphere)
+        ref = [chsh_lhv(model, s, 200_000, seed=100 + seed) for seed, s in enumerate(quadruples)]
+        for est, old in zip(new, ref):
+            assert abs(est.value - old.value) <= 5.0 * math.hypot(est.std_error, old.std_error)
+            for e, o in zip(est.correlations(), old.correlations()):
+                assert abs(e.value - o.value) <= 5.0 * math.hypot(e.std_error, o.std_error)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, MULTI_BLOCK_N])
     def test_local_bound_holds_exactly(self, n):
         # +-1 responses give integer sums, so S <= 2 with no tolerance;
         # bounded real responses reach it up to float rounding.
@@ -221,7 +261,7 @@ class TestChshLhv:
             assert chsh_lhv(AveragedLinearModel(), s, n, seed=seed).value <= 2.0 + 1e-12
 
     @pytest.mark.parametrize("c2", [-INV_SQRT2, INV_SQRT2])
-    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, MULTI_BLOCK_N])
     def test_gisin_settings_give_exactly_two(self, c2, n):
         # Every draw of the sign model saturates the bound at these settings.
         est = chsh_lhv(BellSignModel(), gisin_settings(INV_SQRT2, c2), n, seed=n)
@@ -296,14 +336,53 @@ class TestBell1964:
             bell1964_check(AveragedLinearModel(), Z, Z, make_unit_vector(1.0, 0.0), 50_000, seed=8)
 
 
+def normalised_cube(rng, n):
+    """Points uniform in the cube, scaled onto the sphere: not uniform on it."""
+    p = rng.uniform(-1.0, 1.0, (n, 3))
+    return p / np.linalg.norm(p, axis=1)[:, None]
+
+
+def chi_square_uniform(x, lo, hi, bins=50):
+    """Pearson's statistic of x against the uniform law on [lo, hi]."""
+    counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
+    expected = len(x) / bins
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
 class TestHiddenVariableSampling:
     def test_sphere_sampling_is_uniform(self):
-        # Moments of the inverse-CDF sphere sampler: mean ~ 0, cov ~ I/3.
+        # Moments of the disc-rejection sphere sampler: mean ~ 0, cov ~ I/3.
         rng = np.random.default_rng(35)
         lam = BellSignModel().sample_lambda(rng, 200_000)
         np.testing.assert_allclose(np.linalg.norm(lam, axis=1), 1.0, atol=1e-12)
         assert np.abs(lam.mean(axis=0)).max() < 0.01
         np.testing.assert_allclose(lam.T @ lam / len(lam), np.eye(3) / 3.0, atol=0.01)
+
+    @pytest.mark.parametrize(
+        "sampler, uniform",
+        [(lhv._sample_sphere, True), (reference_sample_sphere, True), (normalised_cube, False)],
+        ids=["disc", "trigonometric", "normalised-cube"],
+    )
+    def test_z_and_azimuth_are_uniform(self, sampler, uniform):
+        # Uniform on the sphere makes z uniform on [-1, 1] (Archimedes) and
+        # the azimuth uniform on [-pi, pi]; a normalised cube passes the
+        # moment checks above but fails these.
+        lam = sampler(np.random.default_rng(44), 200_000)
+        stats = (
+            chi_square_uniform(lam[:, 2], -1.0, 1.0),
+            chi_square_uniform(np.arctan2(lam[:, 1], lam[:, 0]), -math.pi, math.pi),
+        )
+        if uniform:
+            assert max(stats) < CHI2_49_CRIT
+        else:
+            assert min(stats) > CHI2_49_CRIT
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _BLOCK + 1])
+    def test_sphere_sampler_rows_depend_on_seed_and_n_only(self, n):
+        lam = lhv._sample_sphere(np.random.default_rng(45), n)
+        assert lam.shape == (n, 3)
+        np.testing.assert_allclose(np.linalg.norm(lam, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(lam, lhv._sample_sphere(np.random.default_rng(45), n))
 
     def test_responses_bounded(self):
         rng = np.random.default_rng(36)
