@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from belllab import (
     write_grid_csv,
     write_grid_json,
 )
+from belllab import regions
 from belllab.regions import MAX_GRID_N
 from helpers import reference_grid_csv, reference_grid_json
 
@@ -271,3 +273,48 @@ class TestStreamedExport:
         finally:
             tracemalloc.stop()
         assert peak < grid.values.nbytes / 4
+
+
+def adversarial_grid(n_rows, n_cols, first_zero):
+    """A grid that a value cache keyed by float, not by bit pattern, would misformat.
+
+    Row 0 holds ``first_zero`` and row 1 its negation, each beside the threshold
+    2.0, the next float above it, subnormals, +-inf and NaN; row 2 is all
+    distinct random values.
+    """
+    rng = np.random.default_rng(8)
+    specials = [2.0, np.nextafter(2.0, 3.0), 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+    values = rng.choice([0.5, 1.25, 2.75], size=(n_rows, n_cols))
+    values[0, :8] = [first_zero, *specials]
+    values[1, :8] = [-first_zero, *specials[::-1]]
+    values[2] = rng.uniform(-3.0, 3.0, n_cols)
+    return dataclasses.replace(
+        scan_region(Plane.XY, 0.8, 0.6, 4),
+        axis1=np.arange(n_rows) * 0.1, axis2=np.arange(n_cols) * 0.01, values=values,
+    )
+
+
+class TestDistinctValueExport:
+    # The writers format each distinct bit pattern once per export; these grids
+    # are built so that a cache keyed by value, or one shared between blocks
+    # wrongly, changes bytes.  Shape (40, 1000) puts 8 rows in each block;
+    # (4, 4097) makes each row its own block.
+    @pytest.mark.parametrize("shape", [(40, 1000), (4, 4097)])
+    @pytest.mark.parametrize("first_zero", [0.0, -0.0])
+    def test_byte_identical_to_reference(self, tmp_path, shape, first_zero):
+        assert_exports_match_reference(adversarial_grid(*shape, first_zero), tmp_path)
+
+    def test_cache_limit_keeps_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(regions, "_CACHE_LIMIT", 2)
+        assert_exports_match_reference(adversarial_grid(4, 4097, -0.0), tmp_path)
+
+    def test_json_non_finite_values(self, tmp_path):
+        # These used to be written as bare nan/inf, which json.loads rejects.
+        grid = scan_region(Plane.XY, 0.8, 0.6, 4)
+        v = grid.values.copy()
+        v[0, 0], v[1, 2], v[3, 3] = math.nan, math.inf, -math.inf
+        grid = dataclasses.replace(grid, values=v)
+        assert_exports_match_reference(grid, tmp_path)
+        write_grid_json(grid, tmp_path / "grid.json")
+        payload = json.loads((tmp_path / "grid.json").read_text())
+        np.testing.assert_array_equal(payload["values"], v)
