@@ -22,6 +22,8 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2):
 _PAULIS = (IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # s_k (x) s_l over _PAULIS, at index 4k + l.
 _PAULI_PRODUCTS = np.array([np.kron(sk, sl) for sk in _PAULIS for sl in _PAULIS])
+# np.allclose(g, I, atol=NORM_TOL)'s elementwise bound on |g - I|: atol + rtol * |I|, rtol = 1e-5.
+_UNITARY_BOUND = NORM_TOL + 1e-5 * np.abs(IDENTITY2)
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,16 @@ def make_unit_vector(theta: float, phi: float) -> UnitVector3:
 
 def pauli_dot(n: UnitVector3) -> np.ndarray:
     """Spin observable n . sigma: Hermitian, traceless, squares to identity."""
-    return n.x * SIGMA_X + n.y * SIGMA_Y + n.z * SIGMA_Z
+    x, y, z = n.x, n.y, n.z  # each entry as n.x*SIGMA_X + n.y*SIGMA_Y + n.z*SIGMA_Z sums it, signed zeros too
+    zero = x * 0.0 + y * 0.0
+    return np.array([[complex(zero + z, 0.0), complex(x + 0.0, 0.0 - y)],
+                     [complex(x + y * 0.0 + z * 0.0, y + 0.0), complex(zero - z, 0.0)]])
 
 
 def tensor_observable(a: UnitVector3, b: UnitVector3) -> np.ndarray:
     """Joint spin observable (a . sigma) (x) (b . sigma) as a 4x4 matrix."""
-    return np.kron(pauli_dot(a), pauli_dot(b))
+    # Entry [2i + k, 2j + l] is A[i, j] * B[k, l], the products np.kron forms.
+    return (pauli_dot(a)[:, None, :, None] * pauli_dot(b)[None, :, None, :]).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,9 @@ class TwoQubitState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amps.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got shape {np.shape(self.amplitudes)}")
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise ValueError("non-finite amplitude")
-        n2 = float(np.sum(np.abs(amps) ** 2))
+        n2 = float((np.abs(amps) ** 2).sum())
         if abs(n2 - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {n2}")
         amps.setflags(write=False)
@@ -163,7 +169,7 @@ class SchmidtForm:
             u = np.asarray(getattr(self, name), dtype=complex).copy()
             if u.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2")
-            if not np.allclose(u.conj().T @ u, np.eye(2), atol=NORM_TOL):
+            if not (np.abs(u.conj().T @ u - IDENTITY2) <= _UNITARY_BOUND).all():  # NaN fails
                 raise ValueError(f"{name} is not unitary")
             u.setflags(write=False)
             object.__setattr__(self, name, u)
@@ -195,22 +201,15 @@ def schmidt_decompose(state: TwoQubitState) -> SchmidtForm:
     phase between the two terms becomes ``sign`` when it is +-1 (real states)
     and is absorbed into ``basis_b`` otherwise.
     """
-    m = state.amplitude_matrix()
-    u, s, vh = np.linalg.svd(m)
-    u = u.copy()
-    vh = vh.copy()
+    u, s, vh = np.linalg.svd(state.amplitude_matrix())
 
     # Fix column phases of u, pushing them into the rows of vh.
-    for k in range(2):
-        ph = _first_nonzero_phase(u[:, k])
-        u[:, k] *= np.conj(ph)
-        vh[k, :] *= ph
+    ph = np.array([_first_nonzero_phase(u[:, 0]), _first_nonzero_phase(u[:, 1])])
+    u *= ph.conj()
+    vh *= ph[:, None]
     # Fix row phases of vh, keeping the leftover as per-term coefficients.
-    coeff_phase = np.ones(2, dtype=complex)
-    for k in range(2):
-        ph = _first_nonzero_phase(vh[k, :])
-        vh[k, :] *= np.conj(ph)
-        coeff_phase[k] = ph
+    coeff_phase = np.array([_first_nonzero_phase(vh[0]), _first_nonzero_phase(vh[1])])
+    vh *= coeff_phase.conj()[:, None]
 
     sign = 1
     if s[1] > ENTANGLEMENT_TOL:

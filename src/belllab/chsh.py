@@ -52,9 +52,9 @@ class JointProbabilities:
 
     def __post_init__(self):
         ps = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        if any(p < 0.0 or p > 1.0 for p in ps):
+        if not all(0.0 <= p <= 1.0 for p in ps):  # NaN never is
             raise ValueError(f"probability outside [0, 1]: {ps}")
-        if abs(sum(ps) - 1.0) > 1e-12:
+        if not abs(sum(ps) - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {sum(ps)}, not 1")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -97,10 +97,10 @@ def born_probabilities(tensor, a: np.ndarray, b: np.ndarray) -> JointProbabiliti
     """
     m_a, m_b, t = tensor
     ma, mb, e = float(a @ m_a), float(b @ m_b), float(a @ t @ b)
-    p = np.array([1.0 + ma + mb + e, 1.0 + ma - mb - e, 1.0 - ma + mb - e, 1.0 - ma - mb + e])
-    p = np.clip(p, 0.0, None)  # float noise at the edges
-    p /= p.sum()  # the sum is 4 up to rounding
-    return JointProbabilities(*(float(x) for x in p))
+    # max clips float noise at the edges like np.clip (they differ only at -0.0, which none of these is).
+    p = [max(x, 0.0) for x in (1.0 + ma + mb + e, 1.0 + ma - mb - e, 1.0 - ma + mb - e, 1.0 - ma - mb + e)]
+    total = p[0] + p[1] + p[2] + p[3]  # 4 up to rounding; left to right, as numpy sums 4 floats
+    return JointProbabilities(*(x / total for x in p))
 
 
 def joint_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> JointProbabilities:

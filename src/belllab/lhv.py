@@ -72,11 +72,11 @@ class CorrelationEstimate:
     n_samples: int
 
     def __post_init__(self):
-        if self.std_error < 0.0:
-            raise ValueError("std_error must be non-negative")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-        if abs(self.value) > 1.0 + 3.0 * self.std_error:
+        if not (0.0 <= self.std_error < math.inf):
+            raise ValueError(f"std_error must be finite and non-negative, got {self.std_error}")
+        if not (isinstance(self.n_samples, numbers.Integral) and self.n_samples >= 1):
+            raise ValueError(f"n_samples must be a positive integer, got {self.n_samples}")
+        if not abs(self.value) <= 1.0 + 3.0 * self.std_error:
             raise ValueError(
                 f"estimate {self.value} inconsistent with a bounded correlation"
             )

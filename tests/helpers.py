@@ -1,19 +1,25 @@
 """Shared random generators, reference samplers and reference writers for the test suite."""
 import csv
+import itertools
 import json
 import math
 
 import numpy as np
 
 from belllab import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     CoincidenceCounts,
     JointProbabilities,
     MeasurementSettings,
+    SchmidtForm,
     TwoQubitState,
     UnitVector3,
     correlation_tensor,
     projector,
 )
+from belllab.algebra import ENTANGLEMENT_TOL, _first_nonzero_phase
 
 
 def random_unit_vector(rng: np.random.Generator) -> UnitVector3:
@@ -35,6 +41,14 @@ def random_state(rng: np.random.Generator) -> TwoQubitState:
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
     return TwoQubitState(amps)
+
+
+def edge_unit_vectors() -> list[UnitVector3]:
+    """The 72 unit vectors with components in {+-0.0, +-1, +-0.6, +-0.8}: axis-aligned,
+    antipodal pairs, and every sign of zero."""
+    vals = (0.0, -0.0, 1.0, -1.0, 0.6, -0.6, 0.8, -0.8)
+    return [UnitVector3(*v) for v in itertools.product(vals, repeat=3)
+            if abs(v[0] * v[0] + v[1] * v[1] + v[2] * v[2] - 1.0) <= 1e-12]
 
 
 def random_coefficients(rng: np.random.Generator, signed: bool = True) -> tuple[float, float]:
@@ -65,6 +79,63 @@ def kron_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> 
             p = float(np.vdot(psi, np.kron(pa, pb) @ psi).real)
             vals.append(min(1.0, max(0.0, p)))  # clip float noise at the edges
     return JointProbabilities(*vals)
+
+
+# ------------------------------------------------ generic-numpy exact path
+#
+# pauli_dot, tensor_observable, born_probabilities and schmidt_decompose as
+# they were written before they dropped numpy's generic wrappers (np.kron,
+# np.clip, per-column phase loops).  The rewrites do the same floating-point
+# operations, so these are their bit-identity oracles, signed zeros included.
+
+
+def same_bits(got, want) -> bool:
+    """True when two float or complex arrays (or scalars) have identical bit patterns."""
+    g, w = np.atleast_1d(got), np.atleast_1d(want)
+    if g.dtype != w.dtype or g.shape != w.shape:
+        return False
+    return np.array_equal(np.ascontiguousarray(g).view(np.uint64), np.ascontiguousarray(w).view(np.uint64))
+
+
+def reference_pauli_dot(n: UnitVector3) -> np.ndarray:
+    return n.x * SIGMA_X + n.y * SIGMA_Y + n.z * SIGMA_Z
+
+
+def reference_tensor_observable(a: UnitVector3, b: UnitVector3) -> np.ndarray:
+    return np.kron(reference_pauli_dot(a), reference_pauli_dot(b))
+
+
+def reference_born_probabilities(tensor, a: np.ndarray, b: np.ndarray) -> JointProbabilities:
+    m_a, m_b, t = tensor
+    ma, mb, e = float(a @ m_a), float(b @ m_b), float(a @ t @ b)
+    p = np.array([1.0 + ma + mb + e, 1.0 + ma - mb - e, 1.0 - ma + mb - e, 1.0 - ma - mb + e])
+    p = np.clip(p, 0.0, None)
+    p /= p.sum()
+    return JointProbabilities(*(float(x) for x in p))
+
+
+def reference_schmidt_decompose(state: TwoQubitState) -> SchmidtForm:
+    m = state.amplitude_matrix()
+    u, s, vh = np.linalg.svd(m)
+    u = u.copy()
+    vh = vh.copy()
+    for k in range(2):
+        ph = _first_nonzero_phase(u[:, k])
+        u[:, k] *= np.conj(ph)
+        vh[k, :] *= ph
+    coeff_phase = np.ones(2, dtype=complex)
+    for k in range(2):
+        ph = _first_nonzero_phase(vh[k, :])
+        vh[k, :] *= np.conj(ph)
+        coeff_phase[k] = ph
+    sign = 1
+    if s[1] > ENTANGLEMENT_TOL:
+        rel = coeff_phase[1] / coeff_phase[0]
+        if abs(rel.imag) <= 1e-11:
+            sign = 1 if rel.real > 0 else -1
+        else:
+            vh[1, :] *= rel
+    return SchmidtForm(c1=float(s[0]), c2=float(s[1]), sign=sign, basis_a=u, basis_b=vh.T)
 
 
 # ------------------------------------------------ per-pair misalignment sampler

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,17 @@ from belllab import (
     schmidt_decompose,
     tensor_observable,
 )
-from helpers import random_state, random_unit_vector, random_unitary2
+from belllab.algebra import NORM_TOL
+from helpers import (
+    edge_unit_vectors,
+    random_state,
+    random_unit_vector,
+    random_unitary2,
+    reference_pauli_dot,
+    reference_schmidt_decompose,
+    reference_tensor_observable,
+    same_bits,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -352,3 +363,80 @@ class TestSchmidtFormValidation:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             SchmidtForm(c1=1.0, c2=0.0, sign=0, basis_a=np.eye(2), basis_b=np.eye(2))
+
+    @staticmethod
+    def _accepts(name: str, u: np.ndarray) -> bool:
+        bases = {"basis_a": np.eye(2), "basis_b": np.eye(2), name: u}
+        try:
+            SchmidtForm(c1=1.0, c2=0.0, sign=1, **bases)
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("name", ["basis_a", "basis_b"])
+    def test_unitarity_check_is_allclose(self, name):
+        # The check is np.allclose(u^H u, I, atol=NORM_TOL) written out:
+        # |g - I| <= 1e-12 off the diagonal and 1e-12 + 1e-5 on it.
+        up = np.nextafter(1.0, 2.0)
+        off_diagonal = [np.array([[1.0, 0.0], [d, 1.0]], dtype=complex)
+                        for d in (0.99e-12, np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0),
+                                  1.01e-12, -1e-12, -np.nextafter(1e-12, 1.0), 1e-12j, 1.01e-12j)]
+        diagonal = [np.diag([s * up ** k, 1.0])
+                    for s in (math.sqrt(1.0 + 1e-5 + 1e-12), math.sqrt(1.0 - 1e-5 - 1e-12))
+                    for k in range(-20, 21)]
+        non_finite = []
+        for bad, (i, j) in itertools.product(
+                (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, -math.inf)),
+                [(0, 0), (1, 0)]):
+            u = np.eye(2, dtype=complex)
+            u[i, j] = bad
+            non_finite.append(u)
+        for group in (off_diagonal, diagonal, non_finite):
+            verdicts = []
+            for u in group:
+                with np.errstate(invalid="ignore"):
+                    expected = bool(np.allclose(u.conj().T @ u, np.eye(2), atol=NORM_TOL))
+                    verdicts.append(self._accepts(name, u))
+                assert verdicts[-1] == expected, u
+            assert not all(verdicts)
+            assert any(verdicts) or group is non_finite
+
+
+class TestBitIdentity:
+    """pauli_dot, tensor_observable and schmidt_decompose against their generic-numpy
+    forms in helpers: the same bits, signed zeros included."""
+
+    def test_pauli_dot(self):
+        rng = np.random.default_rng(40)
+        vectors = edge_unit_vectors() + [random_unit_vector(rng) for _ in range(500)]
+        vectors += [UnitVector3(0, 0, 1), UnitVector3(-1, 0, 0), UnitVector3(0, -1, 0)]
+        vectors += [-v for v in vectors]
+        for n in vectors:
+            assert same_bits(pauli_dot(n), reference_pauli_dot(n)), n
+
+    def test_tensor_observable(self):
+        rng = np.random.default_rng(41)
+        edge = edge_unit_vectors()
+        pairs = list(itertools.product(edge, repeat=2))
+        pairs += [(random_unit_vector(rng), random_unit_vector(rng)) for _ in range(500)]
+        for a, b in pairs:
+            assert same_bits(tensor_observable(a, b), reference_tensor_observable(a, b)), (a, b)
+
+    def test_schmidt_decompose(self):
+        rng = np.random.default_rng(42)
+        states = [random_state(rng) for _ in range(300)]
+        for _ in range(100):
+            amps = rng.normal(size=4)
+            states.append(TwoQubitState(amps / np.linalg.norm(amps)))
+        for _ in range(100):
+            amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+            amps[rng.choice(4, 2, replace=False)] = 0.0
+            states.append(TwoQubitState(amps / np.linalg.norm(amps)))
+        states += [canonical_state(*canonical_coefficients(c, sign))
+                   for c in (1.0, 0.8, 8.0 / 11.0, 0.3) for sign in (1, -1)]
+        states += [TwoQubitState(np.array(a)) for a in ([1, 0, 0, 0], [0, 0, 0, 1j], [0, INV_SQRT2, 1j * INV_SQRT2, 0])]
+        for state in states:
+            got, want = schmidt_decompose(state), reference_schmidt_decompose(state)
+            assert got.sign == want.sign
+            assert same_bits([got.c1, got.c2], [want.c1, want.c2])
+            assert same_bits(got.basis_a, want.basis_a) and same_bits(got.basis_b, want.basis_b)

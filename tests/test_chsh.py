@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belllab import (
+    JointProbabilities,
     SeparableStateError,
     TwoQubitState,
     UnitVector3,
@@ -15,19 +16,24 @@ from belllab import (
     chsh_value_symmetric,
     correlation_closed,
     correlation_matrix,
+    correlation_tensor,
     gisin_settings,
     joint_probabilities,
     make_unit_vector,
     max_violation,
     projector,
 )
-from belllab.chsh import MeasurementSettings
+from belllab.chsh import MeasurementSettings, born_probabilities
 from helpers import (
+    edge_unit_vectors,
     kron_probabilities,
     random_coefficients,
     random_settings,
     random_state,
     random_unit_vector,
+    reference_born_probabilities,
+    reference_tensor_observable,
+    same_bits,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -161,6 +167,75 @@ class TestJointProbabilities:
             assert jp.correlation() == pytest.approx(
                 correlation_matrix(state, a, b), abs=1e-12
             )
+
+
+class TestJointProbabilitiesValidation:
+    # NaN used to pass both checks: JointProbabilities(nan, nan, nan, nan) constructed.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_rejected(self, field, bad):
+        ps = [0.25] * 4
+        ps[field] = bad
+        with pytest.raises(ValueError):
+            JointProbabilities(*ps)
+
+    def test_all_nan_rejected(self):
+        with pytest.raises(ValueError):
+            JointProbabilities(math.nan, math.nan, math.nan, math.nan)
+
+    def test_edges_accepted(self):
+        assert JointProbabilities(1.0, 0.0, 0.0, 0.0).correlation() == 1.0
+        assert JointProbabilities(0.0, 0.5, 0.5, -0.0).correlation() == -1.0
+
+
+def _exact_path_states(rng) -> list[TwoQubitState]:
+    """Random complex states, signed canonical states, and states whose Born
+    probabilities at axis-aligned settings are exactly 0."""
+    states = [random_state(rng) for _ in range(40)]
+    states += [canonical_state(*random_coefficients(rng)) for _ in range(20)]
+    states += [canonical_state(INV_SQRT2, -INV_SQRT2), canonical_state(INV_SQRT2, INV_SQRT2)]
+    states += [TwoQubitState(np.array(a)) for a in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1j])]
+    return states
+
+
+class TestBitIdentity:
+    """The exact path against its generic-numpy forms in helpers: the same bits, signed zeros included."""
+
+    def test_correlation_matrix_and_chsh_value(self):
+        rng = np.random.default_rng(43)
+        edge = edge_unit_vectors()
+        for i, state in enumerate(_exact_path_states(rng)):
+            quads = [random_settings(rng) for _ in range(4)]
+            quads += [MeasurementSettings(*(edge[(7 * i + 5 * j + k) % len(edge)] for k in range(4)))
+                      for j in range(12)]
+            psi = state.amplitudes
+            for s in quads:
+                want = [float(np.vdot(psi, reference_tensor_observable(a, b) @ psi).real)
+                        for a, b in s.pairs()]
+                got = [correlation_matrix(state, a, b) for a, b in s.pairs()]
+                assert same_bits(got, want), s
+                assert same_bits(chsh_value(state, s), chsh_combination(want, "bell"))
+                assert same_bits(chsh_value_symmetric(state, s), chsh_combination(want, "symmetric"))
+
+    def test_born_probabilities(self):
+        rng = np.random.default_rng(44)
+        edge = edge_unit_vectors()
+        exact_zeros = 0
+        for state in _exact_path_states(rng):
+            tensor = correlation_tensor(state)
+            vectors = edge + [random_unit_vector(rng) for _ in range(10)]
+            for a in vectors:
+                b = random_unit_vector(rng)
+                k = rng.uniform(0.0, 1.0)
+                for x, y in ((a, b), (a, a), (a, -a), (a, -b)):
+                    for scale in (1.0, k):
+                        xv, yv = scale * x.as_array(), scale * y.as_array()
+                        got = born_probabilities(tensor, xv, yv).as_tuple()
+                        assert same_bits(got, reference_born_probabilities(tensor, xv, yv).as_tuple())
+                        exact_zeros += got.count(0.0)
+                got = joint_probabilities(state, a, b).as_tuple()
+                assert same_bits(got, reference_born_probabilities(tensor, a.as_array(), b.as_array()).as_tuple())
+        assert exact_zeros > 100
 
 
 def _product_state(rng) -> TwoQubitState:

@@ -8,6 +8,7 @@ from belllab import (
     AveragedLinearModel,
     BellSignModel,
     BUILTIN_MODELS,
+    CorrelationEstimate,
     PreconditionError,
     UnitVector3,
     bell1964_check,
@@ -106,6 +107,20 @@ class TestSampleCountValidation:
 
     def test_numpy_integer_accepted(self, name):
         SAMPLE_COUNT_CALLS[name](BellSignModel(), np.int64(10))
+
+
+class TestCorrelationEstimateValidation:
+    # NaN used to pass every check: CorrelationEstimate(0.5, nan, 5) constructed.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["value", "std_error", "n_samples"])
+    def test_non_finite_rejected(self, field, bad):
+        fields = {"value": 0.5, "std_error": 0.01, "n_samples": 5, field: bad}
+        with pytest.raises(ValueError):
+            CorrelationEstimate(**fields)
+
+    def test_valid_estimates_accepted(self):
+        assert CorrelationEstimate(-1.0, 0.0, 1).value == -1.0
+        assert CorrelationEstimate(1.02, 0.01, np.int64(100)).n_samples == 100
 
 
 class TestEstimateCorrelation:
