@@ -36,7 +36,6 @@ from .chsh import (
     gisin_settings,
     joint_probabilities,
     max_violation,
-    projector,
 )
 from .lhv import (
     BUILTIN_MODELS,

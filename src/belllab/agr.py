@@ -82,8 +82,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_pairs, numbers.Integral) or isinstance(self.n_pairs, bool):
-            raise TypeError(f"n_pairs must be an integer, not {type(self.n_pairs).__name__}")
+        for name in ("n_pairs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
         if not (1 <= self.n_pairs <= _MAX_PAIRS):
             raise ValueError("n_pairs must be in [1, 2**63 - 1]")
         if not (0.0 < self.efficiency <= 1.0):
@@ -141,9 +143,7 @@ def simulate_run(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3, stream: 
     """
     rng = np.random.default_rng([cfg.seed, stream])
     p = np.array(mean_probabilities(cfg, a, b).as_tuple())
-    recorded = rng.multinomial(cfg.n_pairs, p)
-    if cfg.efficiency < 1.0:
-        recorded = rng.binomial(recorded, cfg.efficiency * cfg.efficiency)
+    recorded = rng.binomial(rng.multinomial(cfg.n_pairs, p), cfg.efficiency * cfg.efficiency)
     return CoincidenceCounts(*(int(c) for c in recorded), n_pairs=cfg.n_pairs)
 
 

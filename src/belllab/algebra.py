@@ -22,8 +22,6 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY2):
 _PAULIS = (IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 # s_k (x) s_l over _PAULIS, at index 4k + l.
 _PAULI_PRODUCTS = np.array([np.kron(sk, sl) for sk in _PAULIS for sl in _PAULIS])
-# np.allclose(g, I, atol=NORM_TOL)'s elementwise bound on |g - I|: atol + rtol * |I|, rtol = 1e-5.
-_UNITARY_BOUND = NORM_TOL + 1e-5 * np.abs(IDENTITY2)
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ class SchmidtForm:
             u = np.asarray(getattr(self, name), dtype=complex).copy()
             if u.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2")
-            if not (np.abs(u.conj().T @ u - IDENTITY2) <= _UNITARY_BOUND).all():  # NaN fails
+            if not (np.abs(u.conj().T @ u - IDENTITY2) <= NORM_TOL).all():  # NaN fails
                 raise ValueError(f"{name} is not unitary")
             u.setflags(write=False)
             object.__setattr__(self, name, u)

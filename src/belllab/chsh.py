@@ -12,12 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    IDENTITY2,
     UnitVector3,
     TwoQubitState,
     check_normalized,
     correlation_tensor,
-    pauli_dot,
     tensor_observable,
 )
 
@@ -62,11 +60,6 @@ class JointProbabilities:
 
     def correlation(self) -> float:
         return self.p_pp + self.p_mm - self.p_pm - self.p_mp
-
-
-def projector(n: UnitVector3) -> np.ndarray:
-    """Rank-1 projector (I + n.sigma) / 2 onto the +1 eigenstate of n.sigma."""
-    return 0.5 * (IDENTITY2 + pauli_dot(n))
 
 
 def correlation_matrix(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> float:

@@ -42,6 +42,7 @@ from .regions import MAX_GRID_N, Plane, scan_region, write_grid_csv, write_grid_
 
 VERSION_TAG = f"belllab {__version__}"
 PAIR_LABELS = ("a,b", "a,b'", "a',b", "a',b'")
+SETTING_NAMES = ("a", "b", "a_prime", "b_prime")
 RADIANS_HELP = "interpret angle flags as radians, not degrees"
 SINGLET_C1 = 1.0 / math.sqrt(2.0)
 # agr's default quadruple, the coplanar angles maximizing |S|.  These stay in
@@ -126,21 +127,22 @@ def _vector_dict(v: UnitVector3) -> dict:
 
 
 def _settings_dict(s: MeasurementSettings) -> dict:
-    return {
-        "a": _vector_dict(s.a),
-        "b": _vector_dict(s.b),
-        "a_prime": _vector_dict(s.a_prime),
-        "b_prime": _vector_dict(s.b_prime),
-    }
+    return {name: _vector_dict(getattr(s, name)) for name in SETTING_NAMES}
 
 
-def _explicit_settings(args: argparse.Namespace) -> MeasurementSettings | None:
-    """xz-plane settings from explicit polar angles, or None if none is given."""
+def _settings(args: argparse.Namespace, coefficients, flag: str) -> MeasurementSettings:
+    """Gisin's quadruple for coefficients (None if flag is not given), or the four explicit
+    xz-plane polar angles; exactly one of the two sources must be given."""
     angles = [args.alpha, args.alpha_prime, args.beta, args.beta_prime]
-    if all(v is None for v in angles):
-        return None
-    if any(v is None for v in angles):
+    given = sum(v is not None for v in angles)
+    if 0 < given < 4:
         raise ValueError("explicit settings need all of --alpha --alpha-prime --beta --beta-prime")
+    if given and coefficients is not None:
+        raise ValueError(f"choose either {flag} or explicit angles, not both")
+    if coefficients is not None:
+        return gisin_settings(*_normalize_pair(*coefficients))
+    if not given:
+        raise ValueError(f"no settings source: pass {flag} or the four explicit angles")
     al, alp, be, bep = (_to_radians(v, args.radians) for v in angles)
     return _xz_settings(al, be, alp, bep)
 
@@ -187,12 +189,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     c1, c2 = _normalize_pair(args.c1, args.c2)
     state = canonical_state(c1, c2, permissive=args.permissive)
 
-    explicit = _explicit_settings(args)
-    if explicit is not None and args.gisin:
-        raise ValueError("choose either --gisin or explicit angles, not both")
-    if explicit is None and not args.gisin:
-        raise ValueError("no settings source: pass --gisin or the four explicit angles")
-    settings = gisin_settings(c1, c2) if args.gisin else explicit
+    settings = _settings(args, (args.c1, args.c2) if args.gisin else None, "--gisin")
 
     names = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
     p = {name: correlation_matrix(state, a, b) for name, (a, b) in zip(names, settings.pairs())}
@@ -215,7 +212,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
         f"state: c1={c1:.9g} c2={c2:.9g} concurrence={payload['concurrence']:.9g}",
         f"settings: {payload['settings_source']}",
     ]
-    for name in ("a", "b", "a_prime", "b_prime"):
+    for name in SETTING_NAMES:
         d = payload["settings"][name]
         lines.append(
             f"  {name:8s} ({d['x']:+.6f}, {d['y']:+.6f}, {d['z']:+.6f})"
@@ -265,16 +262,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_lhv(args: argparse.Namespace) -> int:
-    explicit = _explicit_settings(args)
-    if args.gisin_for is not None and explicit is not None:
-        raise ValueError("choose either --gisin-for or explicit angles, not both")
-    if args.gisin_for is not None:
-        settings = gisin_settings(*_normalize_pair(*args.gisin_for))
-    elif explicit is not None:
-        settings = explicit
-    else:
-        raise ValueError("no settings source: pass --gisin-for C1 C2 or explicit angles")
-
+    settings = _settings(args, args.gisin_for, "--gisin-for")
     est = chsh_lhv(BUILTIN_MODELS[args.model](), settings, args.samples, args.seed)
     within = est.value <= 2.0 + 5.0 * est.std_error
     payload = {
@@ -308,7 +296,7 @@ def cmd_agr(args: argparse.Namespace) -> int:
         else _to_radians(getattr(args, key), args.radians)
         for key, deg in AGR_ANGLES_DEG.items()
     }
-    settings = _xz_settings(angles["a"], angles["b"], angles["a_prime"], angles["b_prime"])
+    settings = _xz_settings(**angles)
 
     sigma = args.misalignment_sigma
     if args.damping is not None:
@@ -359,16 +347,7 @@ def cmd_agr(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     del args
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name} {detail}")
-
+    rows = []  # (name, ok, detail) per check
     rng = np.random.default_rng(20260809)
 
     worst = 0.0
@@ -377,7 +356,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         c1, c2 = math.cos(t), math.sin(t) * rng.choice([-1.0, 1.0])
         s = chsh_value(canonical_state(c1, c2), gisin_settings(c1, c2))
         worst = max(worst, abs(s - max_violation(c1, c2)))
-    check("gisin-max-violation", worst < 1e-9, f"(max |diff| = {worst:.3g})")
+    rows.append(("gisin-max-violation", worst < 1e-9, f"(max |diff| = {worst:.3g})"))
 
     worst = 0.0
     for _ in range(1000):
@@ -390,16 +369,16 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             - correlation_matrix(canonical_state(c1, c2, permissive=True), a, b)
         )
         worst = max(worst, diff)
-    check("closed-vs-matrix", worst < 1e-12, f"(max |diff| = {worst:.3g})")
+    rows.append(("closed-vs-matrix", worst < 1e-12, f"(max |diff| = {worst:.3g})"))
 
     settings = gisin_settings(SINGLET_C1, SINGLET_C1)
     for name in ("bell-sign", "averaged-linear"):
         est = chsh_lhv(BUILTIN_MODELS[name](), settings, 200_000, 7)
-        check(
+        rows.append((
             f"lhv-bound-{name}",
             est.value <= 2.0 + 5.0 * est.std_error,
             f"(S = {est.value:.4f} +- {est.std_error:.4f})",
-        )
+        ))
 
     e = estimate_correlation(
         BUILTIN_MODELS["bell-sign"](),
@@ -408,28 +387,30 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         200_000,
         11,
     )
-    check(
+    rows.append((
         "bell-sign-analytic",
         abs(e.value - 0.0) <= 5.0 * e.std_error,
         f"(E = {e.value:.4f} +- {e.std_error:.4f})",
-    )
+    ))
 
     cfg = ExperimentConfig(
         state=canonical_state(SINGLET_C1, -SINGLET_C1),
-        settings=_xz_settings(0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4),
+        settings=_xz_settings(**{key: math.radians(deg) for key, deg in AGR_ANGLES_DEG.items()}),
         n_pairs=200_000,
         seed=3,
     )
     r1 = run_experiment(cfg)
     r2 = run_experiment(cfg)
-    check("agr-determinism", r1.counts == r2.counts)
-    check(
+    rows.append(("agr-determinism", r1.counts == r2.counts, ""))
+    rows.append((
         "agr-ideal-s",
         abs(abs(r1.s.s_value) - 2.0 * math.sqrt(2.0)) <= 5.0 * r1.s.std_error,
         f"(|S| = {abs(r1.s.s_value):.4f} +- {r1.s.std_error:.4f})",
-    )
+    ))
 
-    return 0 if failures == 0 else 1
+    for name, ok, detail in rows:
+        print(f"PASS {name}" if ok else f"FAIL {name} {detail}")
+    return 0 if all(ok for _, ok, _ in rows) else 1
 
 
 # ---------------------------------------------------------------- parser

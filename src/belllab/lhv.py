@@ -30,6 +30,8 @@ from .chsh import MeasurementSettings, chsh_combination
 # 2 MB together, so each numpy pass over them runs in a per-core L2 cache and
 # the peak memory stays at a few blocks.
 _BLOCK = 1 << 14
+# bell1964_check accepts E(b', b') within this of -1, plus 5 standard errors.
+_ANTICORRELATION_TOL = 1e-6
 
 
 def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -245,7 +247,6 @@ def bell1964_check(
     b_prime: UnitVector3,
     n: int,
     seed,
-    anticorrelation_tol: float = 1e-6,
 ) -> Bell1964Result:
     """Evaluate |E(a,b) - E(a,b')| against 1 + E(b',b) on one shared hidden-variable stream.
 
@@ -256,7 +257,7 @@ def bell1964_check(
     pairs = ((b_prime, b_prime), (a, b), (a, b_prime), (b_prime, b))
     sums, moments = _shared_stream_sums(model, pairs, n, seed)
     anti = _estimate(sums, moments, n, 0)
-    if abs(anti.value + 1.0) > anticorrelation_tol + 5.0 * anti.std_error:
+    if abs(anti.value + 1.0) > _ANTICORRELATION_TOL + 5.0 * anti.std_error:
         raise PreconditionError(
             f"E(b', b') = {anti.value:.6f} != -1: the 1964 reduction does not apply"
         )

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from belllab import (
+    IDENTITY2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -17,7 +18,7 @@ from belllab import (
     TwoQubitState,
     UnitVector3,
     correlation_tensor,
-    projector,
+    pauli_dot,
 )
 from belllab.algebra import ENTANGLEMENT_TOL, _first_nonzero_phase
 
@@ -64,6 +65,11 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def projector(n: UnitVector3) -> np.ndarray:
+    """Rank-1 projector (I + n.sigma) / 2 onto the +1 eigenstate of n.sigma."""
+    return 0.5 * (IDENTITY2 + pauli_dot(n))
 
 
 def kron_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> JointProbabilities:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,14 @@ class TestSimulateRun:
         for bad in (1e6, 10.0, True, "10"):
             with pytest.raises(TypeError):
                 ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=bad)
+
+    def test_seed_must_be_an_integer(self):
+        # seed=0.5 used to construct and fail later inside numpy; seed=True ran silently as seed 1.
+        cfg = ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=100, seed=np.int64(7))
+        assert run_experiment(cfg).counts == run_experiment(replace(cfg, seed=7)).counts
+        for bad in (0.5, 7.0, True, False):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=100, seed=bad)
 
 
 # Chi-square critical values at p = 1e-4 for 3 and 4 degrees of freedom

@@ -360,6 +360,12 @@ class TestSchmidtFormValidation:
             SchmidtForm(c1=1.0, c2=0.0, sign=1,
                         basis_a=np.ones((2, 2)), basis_b=np.eye(2))
 
+    def test_rejects_slightly_non_unitary_diagonal(self):
+        # |u^H u - I| was allowed 1e-5 on the diagonal: this basis constructed and
+        # reconstruct() then raised "state not normalized".
+        with pytest.raises(ValueError, match="not unitary"):
+            SchmidtForm(c1=1.0, c2=0.0, sign=1, basis_a=np.diag([1.000004, 1.0]), basis_b=np.eye(2))
+
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
             SchmidtForm(c1=1.0, c2=0.0, sign=0, basis_a=np.eye(2), basis_b=np.eye(2))
@@ -375,14 +381,14 @@ class TestSchmidtFormValidation:
 
     @pytest.mark.parametrize("name", ["basis_a", "basis_b"])
     def test_unitarity_check_is_allclose(self, name):
-        # The check is np.allclose(u^H u, I, atol=NORM_TOL) written out:
-        # |g - I| <= 1e-12 off the diagonal and 1e-12 + 1e-5 on it.
+        # The check is np.allclose(u^H u, I, rtol=0, atol=NORM_TOL) written out:
+        # |g - I| <= 1e-12 in every entry, on the diagonal as off it.
         up = np.nextafter(1.0, 2.0)
         off_diagonal = [np.array([[1.0, 0.0], [d, 1.0]], dtype=complex)
                         for d in (0.99e-12, np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0),
                                   1.01e-12, -1e-12, -np.nextafter(1e-12, 1.0), 1e-12j, 1.01e-12j)]
         diagonal = [np.diag([s * up ** k, 1.0])
-                    for s in (math.sqrt(1.0 + 1e-5 + 1e-12), math.sqrt(1.0 - 1e-5 - 1e-12))
+                    for s in (math.sqrt(1.0 + 1e-12), math.sqrt(1.0 - 1e-12))
                     for k in range(-20, 21)]
         non_finite = []
         for bad, (i, j) in itertools.product(
@@ -395,7 +401,7 @@ class TestSchmidtFormValidation:
             verdicts = []
             for u in group:
                 with np.errstate(invalid="ignore"):
-                    expected = bool(np.allclose(u.conj().T @ u, np.eye(2), atol=NORM_TOL))
+                    expected = bool(np.allclose(u.conj().T @ u, np.eye(2), rtol=0.0, atol=NORM_TOL))
                     verdicts.append(self._accepts(name, u))
                 assert verdicts[-1] == expected, u
             assert not all(verdicts)

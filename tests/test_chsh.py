@@ -21,12 +21,12 @@ from belllab import (
     joint_probabilities,
     make_unit_vector,
     max_violation,
-    projector,
 )
 from belllab.chsh import MeasurementSettings, born_probabilities
 from helpers import (
     edge_unit_vectors,
     kron_probabilities,
+    projector,
     random_coefficients,
     random_settings,
     random_state,

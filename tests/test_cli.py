@@ -99,6 +99,37 @@ class TestChshCommand:
         assert "settings source" in err
 
 
+ANGLES = ["--alpha", "0", "--alpha-prime", "90", "--beta", "45", "--beta-prime", "135"]
+
+
+class TestSettingsSource:
+    # chsh and lhv take Gisin's quadruple or all four explicit angles, never both.
+    BASE = {"chsh": ["chsh", "--c1", "0.7071068", "--c2", "0.7071068"],
+            "lhv": ["lhv", "--samples", "1000"]}
+    GISIN = {"chsh": ["--gisin"], "lhv": ["--gisin-for", "0.7071068", "0.7071068"]}
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize("case, message", [("both", "choose either"),
+                                               ("neither", "no settings source"),
+                                               ("three angles", "need all of")])
+    @pytest.mark.parametrize("command", ["chsh", "lhv"])
+    def test_exit_2(self, capsys, tmp_path, command, case, message, via):
+        options = {"both": self.GISIN[command] + ANGLES, "neither": [], "three angles": ANGLES[:6]}[case]
+        if via == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(as_config(options))
+            options = ["--config", str(cfg)]
+        rc, out, err = run_cli(capsys, *self.BASE[command], *options)
+        assert (rc, out) == (2, "")
+        assert message in err
+
+    def test_conflict_reported_before_normalization(self, capsys):
+        rc, out, err = run_cli(capsys, "lhv", "--gisin-for", "0.7", "0.7", *ANGLES)
+        assert (rc, out) == (2, "")
+        assert "choose either --gisin-for or explicit angles" in err
+        assert "not normalized" not in err
+
+
 class TestScanCommand:
     def test_fraction_and_csv(self, capsys, tmp_path):
         out_file = tmp_path / "grid.csv"
