@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call times of the exact CHSH path, baseline tree against this tree.
+"""Per-call times of the exact CHSH path and the bell-sign LHV estimators,
+baseline tree against this tree.
 
     python scripts/bench_exact_path.py --baseline <git-rev> [--rounds 7] [--write BENCH_exact_path.json]
 
@@ -7,7 +8,8 @@ The baseline revision is exported with ``git archive`` into a temporary
 directory; "change" is the ``src/`` next to this script, as it is on disk.
 Each round times both trees, each in a fresh single-threaded interpreter, and
 alternates which one runs first.  Within an interpreter every function is
-called on the same 64 seeded inputs, once untimed and then in 5 timed passes,
+called on the same 64 seeded inputs, once untimed and then in 5 timed passes
+(of 8 sweeps over the inputs, or 1 for the LHV estimators at 1e5 samples),
 and its time per call is the best pass; the table holds the median of those
 over the rounds, in microseconds.
 ``--write`` stores the table under "per_call_us" in the given JSON file,
@@ -26,13 +28,13 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FUNCTIONS = ("pauli_dot", "tensor_observable", "correlation_matrix", "chsh_value",
-             "joint_probabilities", "schmidt_decompose")
+             "joint_probabilities", "schmidt_decompose", "chsh_lhv_bell_sign", "bell1964_check")
 
 # Run in each child; prints {function: microseconds per call}.
 CHILD = r"""
 import json, math, time
 import numpy as np
-from belllab import algebra, chsh
+from belllab import algebra, chsh, lhv
 
 rng = np.random.default_rng(2024)
 def unit():
@@ -54,19 +56,23 @@ calls = {
     "chsh_value": lambda st, s: chsh.chsh_value(st, s),
     "joint_probabilities": lambda st, s: chsh.joint_probabilities(st, s.a, s.b),
     "schmidt_decompose": lambda st, s: algebra.schmidt_decompose(st),
+    "chsh_lhv_bell_sign": lambda st, s: lhv.chsh_lhv(lhv.BellSignModel(), s, 10 ** 5, 1),
+    "bell1964_check": lambda st, s: lhv.bell1964_check(lhv.BellSignModel(), s.a, s.b, s.b_prime, 10 ** 5, 1),
 }
+sweeps = {"chsh_lhv_bell_sign": 1, "bell1964_check": 1}
 for fn in calls.values():  # warm-up pass, untimed
     for st, s in cases:
         fn(st, s)
 out = {}
 for name, fn in calls.items():
     best = math.inf
+    k = sweeps.get(name, 8)
     for _ in range(5):
         t0 = time.perf_counter()
-        for _ in range(8):
+        for _ in range(k):
             for st, s in cases:
                 fn(st, s)
-        best = min(best, (time.perf_counter() - t0) / (8 * len(cases)))
+        best = min(best, (time.perf_counter() - t0) / (k * len(cases)))
     out[name] = best * 1e6
 print(json.dumps(out))
 """
@@ -123,9 +129,9 @@ def main() -> int:
                 payload = json.load(fh)
         payload["per_call_us"] = {
             "how": (f"scripts/bench_exact_path.py --baseline {args.baseline} --rounds {args.rounds}: "
-                    "best of 5 timed passes over 64 seeded inputs after one untimed pass, per fresh "
-                    "interpreter; median over rounds, "
-                    "parent and change alternating"),
+                    "best of 5 timed passes over 64 seeded inputs (8 sweeps per pass, 1 for the LHV "
+                    "estimators at 1e5 samples) after one untimed pass, per fresh interpreter; median "
+                    "over rounds, parent and change alternating"),
             "functions": table,
         }
         with open(args.write, "w") as fh:

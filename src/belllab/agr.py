@@ -31,9 +31,7 @@ import numpy as np
 
 from .algebra import TwoQubitState, UnitVector3, correlation_tensor
 from .chsh import JointProbabilities, MeasurementSettings, born_probabilities, chsh_combination
-from .lhv import CorrelationEstimate
-
-_MAX_PAIRS = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
+from .lhv import _MAX_COUNT, CorrelationEstimate
 
 
 class InsufficientDataError(ValueError):
@@ -86,7 +84,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-        if not (1 <= self.n_pairs <= _MAX_PAIRS):
+        if not (1 <= self.n_pairs <= _MAX_COUNT):
             raise ValueError("n_pairs must be in [1, 2**63 - 1]")
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError("efficiency must be in (0, 1]")

@@ -13,6 +13,12 @@ orientation pairs on the same draws, as Bell's derivation of the CHSH
 inequality assumes one distribution rho(lambda) for all four settings.  Each
 draw's CHSH combination is then at most 2 in modulus, so for +-1 responses
 the estimated S <= 2 holds exactly, not only within statistical error.
+
+For ``BellSignModel`` itself no lambda is drawn: the statistics of n draws
+depend only on the counts of the sign patterns of (v . lambda) over the
+distinct settings v, which are exactly Multinomial(n, p) with p in closed
+form, so one multinomial draw costs the same at any n.  Every other model,
+subclasses of ``BellSignModel`` included, is sampled draw by draw.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ from .chsh import MeasurementSettings, chsh_combination
 _BLOCK = 1 << 14
 # bell1964_check accepts E(b', b') within this of -1, plus 5 standard errors.
 _ANTICORRELATION_TOL = 1e-6
+_MAX_COUNT = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
 
 
 def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -118,6 +125,10 @@ class BellSignModel:
     sign(a . lam) and side B answers -sign(b . lam), with the measure-zero
     tie a . lam = 0 (+0.0 or -0.0) resolved to +1.  The exact correlation is
     E(a, b) = -1 + 2*theta/pi at relative angle theta.
+
+    The estimators draw no lambda for this class but its sign-pattern counts
+    (``_sign_pattern_law``); these methods remain its definition, the route
+    of subclasses and the tests' oracle.
     """
 
     name = "bell-sign"
@@ -159,6 +170,48 @@ BUILTIN_MODELS = {
 }
 
 
+def _angles(v: np.ndarray) -> np.ndarray:
+    """Angles between the rows of v, as atan2(|u x w|, u . w): accurate near 0 and pi, unlike acos."""
+    return np.arctan2(np.linalg.norm(np.cross(v[:, None], v[None]), axis=2), v @ v.T)
+
+
+def _sign_pattern_law(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of BellSignModel's sign patterns over the distinct vectors of ``pairs``.
+
+    With sigma_i = sign(v_i . lam) for the k distinct vectors v_i, a pattern s
+    in {+-1}^k has indicator prod_i (1 + s_i sigma_i)/2, so its probability is
+    the Walsh expansion p(s) = 2^-k (1 + sum_{i<j} s_i s_j rho_ij +
+    s_1 s_2 s_3 s_4 M4): the odd moments vanish under lam -> -lam, and
+    rho_ij = 1 - 2 theta_ij/pi.  The four-fold moment M4 (k = 4 only) comes
+    from one cell of known area.  Take a null vector c of [v_1 .. v_4] and
+    j = argmax |c_j|, and set s_i = sign(c_i) for i != j and s_j = -sign(c_j).
+    Inside the other three hemispheres s_i v_i . lam > 0,
+    c_j v_j . lam = -sum_{i != j} |c_i| s_i v_i . lam < 0, so the fourth
+    constraint is implied and the cell is their triangle, of probability
+    (2 pi - the sum of the angles between the s_i v_i)/(4 pi).  Measure-zero
+    ties do not matter.  Returns p, one entry per pattern (bit i of the
+    index set when s_i = -1), and the integer matrix of each pattern's pair
+    products -s_x s_y, one column per pair.
+    """
+    vectors = list(dict.fromkeys(v for pair in pairs for v in pair))
+    k = len(vectors)
+    v = np.array([u.as_array() for u in vectors])
+    signs = 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
+    rho = 1.0 - 2.0 * _angles(v) / math.pi
+    walsh = 1.0 + (np.einsum("si,ij,sj->s", signs, rho, signs) - k) / 2.0
+    if k == 4:
+        c = np.linalg.svd(v.T)[2][-1]
+        j = int(np.argmax(np.abs(c)))
+        cell = np.where(c >= 0.0, 1, -1)
+        cell[j] = -cell[j]
+        theta = _angles(cell[:, None] * v)
+        p_cell = (2.0 * math.pi - (theta.sum() - 2.0 * theta[j].sum()) / 2.0) / (4.0 * math.pi)
+        m4 = cell.prod() * (16.0 * p_cell - walsh[(1 - cell) // 2 @ (1 << np.arange(4))])
+        walsh += signs.prod(axis=1) * m4
+    x, y = ([vectors.index(pair[side]) for pair in pairs] for side in (0, 1))
+    return np.maximum(walsh / 2 ** k, 0.0), -signs[:, x] * signs[:, y]
+
+
 def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the pair products over one hidden-variable stream of n draws.
 
@@ -166,16 +219,22 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     each distinct setting's response is evaluated once per side.  With
     P_i = response_a(x_i) * response_b(y_i) per draw, returns the k sums of
     P_i and the k x k matrix of the sums of P_i * P_j.  For +-1 responses
-    both hold exact integers.
+    both hold exact integers; for ``BellSignModel`` they are Python ints,
+    formed from one multinomial draw of the sign-pattern counts, so they stay
+    exact at any n.
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise TypeError(f"sample count must be an integer, not {type(n).__name__}")
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
+    if not 1 <= n <= _MAX_COUNT:
+        raise ValueError("sample count must be in [1, 2**63 - 1]")
+    rng = np.random.default_rng(seed)
+    if type(model) is BellSignModel:
+        p, prod = _sign_pattern_law(pairs)
+        counts, prod = rng.multinomial(n, p).astype(object), prod.astype(object)
+        return counts @ prod, (prod.T * counts) @ prod
     side_a = list(dict.fromkeys(x for x, _ in pairs))
     side_b = list(dict.fromkeys(y for _, y in pairs))
     index = [(side_a.index(x), side_b.index(y)) for x, y in pairs]
-    rng = np.random.default_rng(seed)
     sums = np.zeros(len(pairs))
     moments = np.zeros((len(pairs), len(pairs)))
     buf = np.empty((len(pairs), min(_BLOCK, n)))

@@ -11,6 +11,7 @@ from belllab import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    BellSignModel,
     CoincidenceCounts,
     JointProbabilities,
     MeasurementSettings,
@@ -243,6 +244,26 @@ def per_pair_chsh_lhv(model, s: MeasurementSettings, n: int, seed) -> list[tuple
     """(E, standard error) of the four pairs in CHSH order, each on a stream spawned from seed."""
     streams = np.random.SeedSequence(seed).spawn(4)
     return [per_pair_correlation(model, a, b, n, st) for (a, b), st in zip(s.pairs(), streams)]
+
+
+# ------------------------------------------------ sampled bell-sign model
+#
+# The route the estimators took for BellSignModel before its sign-pattern
+# counts were drawn from their exact law.
+
+
+class SampledBellSign:
+    """BellSignModel's own methods on a class that is not BellSignModel.
+
+    The estimators draw the sign-pattern counts of BellSignModel from their
+    exact law; this duck-typed copy takes the sampling route instead, one
+    hidden variable per draw, and so serves as that law's oracle.
+    """
+
+    name = BellSignModel.name
+    sample_lambda = BellSignModel.sample_lambda
+    response_a = BellSignModel.response_a
+    response_b = BellSignModel.response_b
 
 
 # ------------------------------------------------------- reference grid writers

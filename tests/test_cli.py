@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import shlex
 
 import pytest
 
-from belllab import canonical_coefficients
+from belllab import canonical_coefficients, cli
 from belllab.cli import build_parser, main
 from belllab.regions import MAX_GRID_N, Plane, scan_region
 from helpers import reference_grid_csv, reference_grid_json
@@ -197,6 +198,23 @@ class TestLhvCommand:
         payload = json.loads(out)
         assert payload["S"] <= 2.0
         assert payload["within_local_bound"] is True
+
+    @pytest.mark.parametrize("samples", [10 ** 12, 2 ** 63 - 1])
+    def test_bell_sign_at_any_sample_count(self, capsys, samples):
+        # bell-sign draws its sign-pattern counts in one multinomial, so this costs as much as 1000 samples.
+        rc, out, _ = run_cli(
+            capsys, "lhv", "--samples", str(samples), "--gisin-for", "0.7071068", "0.7071068", "--format", "json",
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["samples"] == samples
+        assert payload["S"] <= 2.0
+
+    @pytest.mark.parametrize("samples", [2 ** 63, 2 ** 64])
+    def test_sample_count_above_int64_exit_2(self, capsys, samples):
+        rc, out, err = run_cli(capsys, "lhv", "--samples", str(samples), "--gisin-for", "0.7071068", "0.7071068")
+        assert (rc, out) == (2, "")
+        assert "sample count" in err
 
     def test_bit_identical_reruns(self, capsys):
         argv = [
@@ -438,6 +456,19 @@ class TestSelftest:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
+
+    def test_bell_sign_bound_has_no_sigma_allowance(self, capsys, monkeypatch):
+        # For +-1 responses S <= 2 is an identity; averaged responses keep 5 sigma.
+        real = cli.chsh_lhv
+
+        def just_above_two(model, s, n, seed):
+            return dataclasses.replace(real(model, s, n, seed), value=2.0 + 1e-9, std_error=0.01)
+
+        monkeypatch.setattr(cli, "chsh_lhv", just_above_two)
+        rc, out, _ = run_cli(capsys, "selftest")
+        assert rc == 1
+        assert "FAIL lhv-bound-bell-sign (S = 2.0000 +- 0.0100)" in out
+        assert "PASS lhv-bound-averaged-linear" in out
 
 
 class TestNonFiniteCoefficients:

@@ -20,7 +20,13 @@ from belllab import (
 from belllab import lhv
 from belllab.chsh import MeasurementSettings
 from belllab.lhv import _BLOCK
-from helpers import per_pair_chsh_lhv, random_settings, random_unit_vector, reference_sample_sphere
+from helpers import (
+    SampledBellSign,
+    per_pair_chsh_lhv,
+    random_settings,
+    random_unit_vector,
+    reference_sample_sphere,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 Z = UnitVector3(0, 0, 1)
@@ -32,6 +38,12 @@ assert MULTI_BLOCK_N > 2 * _BLOCK and MULTI_BLOCK_N % _BLOCK == 1
 # Upper 1e-6 quantile of the chi-square distribution with 49 degrees of
 # freedom: the pass mark of a 50-bin goodness-of-fit test.
 CHI2_49_CRIT = 111.14
+
+
+# The built-in models as the sampling route runs them: bell-sign through its
+# duck-typed copy, since BellSignModel itself draws no hidden variable.
+SAMPLING_MODELS = {"bell-sign": SampledBellSign, "averaged-linear": AveragedLinearModel}
+assert set(SAMPLING_MODELS) == set(BUILTIN_MODELS)
 
 
 def bell_sign_exact(theta: float) -> float:
@@ -102,6 +114,11 @@ class TestSampleCountValidation:
 
     @pytest.mark.parametrize("n", [0, -3, np.int64(0)])
     def test_non_positive_rejected_before_any_draw(self, name, n):
+        with pytest.raises(ValueError, match="sample count"):
+            SAMPLE_COUNT_CALLS[name](NoDrawModel(), n)
+
+    @pytest.mark.parametrize("n", [2 ** 63, 2 ** 64])
+    def test_above_int64_rejected_before_any_draw(self, name, n):
         with pytest.raises(ValueError, match="sample count"):
             SAMPLE_COUNT_CALLS[name](NoDrawModel(), n)
 
@@ -216,13 +233,13 @@ class TestChshLhv:
         e2 = chsh_lhv(BellSignModel(), settings, 20_000, seed=4)
         assert e1 == e2
 
-    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    @pytest.mark.parametrize("name", sorted(SAMPLING_MODELS))
     @pytest.mark.parametrize("n", [1000, MULTI_BLOCK_N])
     def test_error_is_deviation_of_the_combination(self, name, n):
         # The four estimates share lambda, so the error of S is the spread of
         # the per-draw combination, not the quadrature of the four errors.
         rng = np.random.default_rng(37)
-        model = BUILTIN_MODELS[name]()
+        model = SAMPLING_MODELS[name]()
         for seed in range(3):
             s = random_settings(rng)
             est = chsh_lhv(model, s, n, seed=seed)
@@ -251,12 +268,12 @@ class TestChshLhv:
             for e, (value, se) in zip(est.correlations(), ref):
                 assert abs(e.value - value) <= 5.0 * math.hypot(e.std_error, se)
 
-    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    @pytest.mark.parametrize("name", sorted(SAMPLING_MODELS))
     def test_agrees_with_trigonometric_sampler(self, name, monkeypatch):
         # Oracle: the same estimator with hidden variables drawn from z and the azimuth.
         rng = np.random.default_rng(42)
         quadruples = [gisin_settings(INV_SQRT2, INV_SQRT2)] + [random_settings(rng) for _ in range(4)]
-        model = BUILTIN_MODELS[name]()
+        model = SAMPLING_MODELS[name]()
         new = [chsh_lhv(model, s, 200_000, seed=seed) for seed, s in enumerate(quadruples)]
         monkeypatch.setattr(lhv, "_sample_sphere", reference_sample_sphere)
         ref = [chsh_lhv(model, s, 200_000, seed=100 + seed) for seed, s in enumerate(quadruples)]
@@ -302,6 +319,227 @@ class TestChshLhv:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def xz_vectors(*degrees):
+    return [make_unit_vector(math.radians(d), 0.0) for d in degrees]
+
+
+def tilted(v: UnitVector3, eps: float) -> UnitVector3:
+    """v moved out of the xz plane by about eps."""
+    w = np.array([v.x, v.y + eps, v.z])
+    return UnitVector3(*(w / np.linalg.norm(w)))
+
+
+def quadruple_pairs(a, a_prime, b, b_prime):
+    return MeasurementSettings(a=a, b=b, a_prime=a_prime, b_prime=b_prime).pairs()
+
+
+def bell1964_pairs(a, b, b_prime):
+    """The pairs bell1964_check reads, with the repeated (b', b') pair first."""
+    return ((b_prime, b_prime), (a, b), (a, b_prime), (b_prime, b))
+
+
+def distinct_vectors(pairs):
+    """The setting vectors of ``pairs`` in the order the sign-pattern law indexes them."""
+    return list(dict.fromkeys(v for pair in pairs for v in pair))
+
+
+def pattern_index(lam, vectors):
+    """Pattern index of each draw: bit i set when the sign of v_i . lambda is -1 (ties give +1)."""
+    minus = lam @ np.array([v.as_array() for v in vectors]).T < 0.0
+    return minus @ (1 << np.arange(len(vectors)))
+
+
+def coplanar_pattern_law(degrees):
+    """Exact pattern probabilities of xz-plane vectors at these polar angles, from arc lengths.
+
+    The projection of a uniform lambda onto the plane has a uniform direction
+    phi, and sign(v_i . lambda) = sign(cos(phi - t_i)); so each pattern's
+    probability is the length of the arcs of phi that give it, over 2 pi.
+    """
+    t = np.radians(degrees)
+    cuts = np.sort(np.concatenate([(t + math.pi / 2) % (2 * math.pi), (t - math.pi / 2) % (2 * math.pi)]))
+    arcs = np.diff(np.append(cuts, cuts[0] + 2 * math.pi))
+    minus = np.cos((cuts + arcs / 2)[:, None] - t) < 0.0
+    return np.bincount(minus @ (1 << np.arange(len(t))), weights=arcs, minlength=2 ** len(t)) / (2 * math.pi)
+
+
+# Upper 1e-6 quantiles of the chi-square distribution by degrees of freedom.
+CHI2_CRIT = {1: 23.93, 2: 27.63, 3: 30.66, 4: 33.38, 5: 35.89, 6: 38.26, 7: 40.52, 8: 42.70,
+             9: 44.81, 10: 46.86, 11: 48.87, 12: 50.83, 13: 52.75, 14: 54.64, 15: 56.49}
+NEAR_COPLANAR_EPS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
+_rng = np.random.default_rng(46)
+_general = [random_unit_vector(_rng) for _ in range(4)]
+_u, _v, _w = (random_unit_vector(_rng) for _ in range(3))
+_x, _y = UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0)
+_coplanar = xz_vectors(10.0, 75.0, 140.0, 250.0)
+PAIR_SETS = {
+    "general": quadruple_pairs(*_general),
+    "gisin": gisin_settings(INV_SQRT2, INV_SQRT2).pairs(),
+    "gisin-0.6": gisin_settings(0.6, 0.8).pairs(),
+    "agr": quadruple_pairs(*xz_vectors(0.0, 90.0, 45.0, 135.0)),
+    "coplanar": quadruple_pairs(*_coplanar),
+    "repeated": quadruple_pairs(_u, _v, _u, _w),
+    "bell1964-repeated": bell1964_pairs(_u, _v, _w),
+    "antipodal": quadruple_pairs(_u, _v, _w, -_w),
+    "orthogonal": quadruple_pairs(_x, _y, Z, UnitVector3(*(np.ones(3) / math.sqrt(3.0)))),
+    "coplanar-triple": quadruple_pairs(*xz_vectors(20.0, 100.0, 230.0), _y),
+    **{f"near-coplanar-{eps:g}": quadruple_pairs(*(tilted(v, eps * (-2) ** i) for i, v in enumerate(_coplanar)))
+       for eps in NEAR_COPLANAR_EPS},
+}
+COPLANAR = ("gisin", "gisin-0.6", "agr", "coplanar")
+
+
+class TestSignPatternLaw:
+    """The exact law of BellSignModel's sign patterns against the sampling route and arc lengths."""
+
+    @pytest.mark.parametrize("name", sorted(PAIR_SETS))
+    def test_probabilities_form_a_distribution(self, name):
+        p, prod = lhv._sign_pattern_law(PAIR_SETS[name])
+        k = len(distinct_vectors(PAIR_SETS[name]))
+        assert p.shape == (2 ** k,) and prod.shape == (2 ** k, 4)
+        assert np.all(p >= 0.0)
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert set(np.unique(prod)) <= {-1, 1}
+
+    @pytest.mark.parametrize("name", sorted(PAIR_SETS))
+    def test_chi_square_against_sampled_patterns(self, name):
+        # Pearson's test of 10**6 sampled patterns; cells expecting fewer than
+        # 5 draws are pooled into the smallest cell that expects more.
+        pairs = PAIR_SETS[name]
+        p, _ = lhv._sign_pattern_law(pairs)
+        n = 10 ** 6
+        lam = SampledBellSign().sample_lambda(np.random.default_rng(47), n)
+        observed = np.bincount(pattern_index(lam, distinct_vectors(pairs)), minlength=len(p)).astype(float)
+        expected = n * p
+        assert np.all(observed[p == 0.0] == 0.0)
+        big = expected >= 5.0
+        pool = np.flatnonzero(big)[np.argmin(expected[big])]
+        expected[pool] += expected[~big].sum()
+        observed[pool] += observed[~big].sum()
+        stat = float(((observed[big] - expected[big]) ** 2 / expected[big]).sum())
+        assert stat < CHI2_CRIT[int(big.sum()) - 1]
+
+    @pytest.mark.parametrize("name", COPLANAR)
+    def test_coplanar_law_equals_arc_lengths(self, name):
+        vectors = distinct_vectors(PAIR_SETS[name])
+        assert all(v.y == 0.0 for v in vectors)
+        degrees = [math.degrees(math.atan2(v.x, v.z)) for v in vectors]
+        np.testing.assert_allclose(lhv._sign_pattern_law(PAIR_SETS[name])[0], coplanar_pattern_law(degrees),
+                                   rtol=0, atol=1e-14)
+
+    def test_continuous_across_the_near_coplanar_ladder(self):
+        flat, _ = lhv._sign_pattern_law(PAIR_SETS["coplanar"])
+        for eps in NEAR_COPLANAR_EPS:
+            p, _ = lhv._sign_pattern_law(PAIR_SETS[f"near-coplanar-{eps:g}"])
+            assert np.abs(p - flat).max() <= eps
+
+    def test_pair_products_are_those_of_the_responses(self):
+        pairs = PAIR_SETS["general"]
+        vectors = distinct_vectors(pairs)
+        _, prod = lhv._sign_pattern_law(pairs)
+        model = BellSignModel()
+        lam = model.sample_lambda(np.random.default_rng(48), 2000)
+        per_draw = np.column_stack([model.response_a(x, lam) * model.response_b(y, lam) for x, y in pairs])
+        np.testing.assert_array_equal(prod[pattern_index(lam, vectors)], per_draw)
+
+
+class TestExactSignRoute:
+    """BellSignModel's estimates, drawn from the sign-pattern law, against the sampling route."""
+
+    def test_draws_no_hidden_variable(self, monkeypatch):
+        def refuse(self, rng, n=1):
+            raise AssertionError("drew hidden variables")
+
+        monkeypatch.setattr(BellSignModel, "sample_lambda", refuse)
+        model, n = BellSignModel(), 10 ** 12
+        s = random_settings(np.random.default_rng(49))
+        assert chsh_lhv(model, s, n, seed=0).value <= 2.0
+        assert estimate_correlation(model, s.a, s.b, n, seed=0).n_samples == n
+        res = bell1964_check(model, s.a, s.b, s.b_prime, n, seed=0)
+        assert res.lhs <= res.rhs
+
+    @pytest.mark.parametrize("n", [2 ** 53 + 1, 2 ** 63 - 1])
+    def test_exact_at_any_sample_count(self, n):
+        # Float sums stop being exact integers above 2**53; the pattern
+        # counts and the pair sums stay integers until the final division.
+        rng = np.random.default_rng(50)
+        for seed in range(20):
+            s = random_settings(rng)
+            est = chsh_lhv(BellSignModel(), s, n, seed=seed)
+            assert est.value <= 2.0
+            assert all(e.n_samples == n for e in est.correlations())
+            res = bell1964_check(BellSignModel(), s.a, s.b, s.b_prime, n, seed=seed)
+            assert res.lhs <= res.rhs
+        # At Gisin's settings the patterns that give less than 2 have zero
+        # area, but their computed probabilities round to about 1e-17, which
+        # a draw of 2**63 can reach; so S is 2 only to that rounding here.
+        est = chsh_lhv(BellSignModel(), gisin_settings(INV_SQRT2, INV_SQRT2), n, seed=1)
+        assert 2.0 - 1e-15 <= est.value <= 2.0
+
+    @pytest.mark.parametrize("n", [1000, MULTI_BLOCK_N])
+    def test_error_is_deviation_of_the_combination(self, n):
+        # The per-draw products rebuilt from the drawn pattern counts: each
+        # pattern's row of pair products, repeated as often as it was drawn.
+        rng = np.random.default_rng(37)
+        for seed in range(3):
+            s = random_settings(rng)
+            est = chsh_lhv(BellSignModel(), s, n, seed=seed)
+            p, prod = lhv._sign_pattern_law(s.pairs())
+            draws = np.repeat(prod, np.random.default_rng(seed).multinomial(n, p), axis=0).astype(float)
+            ab, abp, apb, apbp = draws.T
+            s_x = 1.0 if est.e_ab.value >= est.e_abp.value else -1.0
+            s_y = 1.0 if est.e_apbp.value + est.e_apb.value >= 0.0 else -1.0
+            combination = s_x * (ab - abp) + s_y * (apbp + apb)
+            assert est.value == pytest.approx(combination.mean(), abs=1e-12)
+            assert abs(est.std_error - np.std(combination, ddof=1) / math.sqrt(n)) <= 1e-12
+            for e, xy in zip(est.correlations(), draws.T):
+                assert e.n_samples == n
+                assert e.value == pytest.approx(xy.mean(), abs=1e-12)
+                assert abs(e.std_error - np.std(xy, ddof=1) / math.sqrt(n)) <= 1e-12
+
+    def test_chsh_lhv_agrees_with_sampling(self):
+        rng = np.random.default_rng(51)
+        quadruples = [gisin_settings(INV_SQRT2, INV_SQRT2)] + [random_settings(rng) for _ in range(24)]
+        for seed, s in enumerate(quadruples):
+            est = chsh_lhv(BellSignModel(), s, 50_000, seed=seed)
+            ref = chsh_lhv(SampledBellSign(), s, 50_000, seed=1000 + seed)
+            assert abs(est.value - ref.value) <= 5.0 * math.hypot(est.std_error, ref.std_error)
+            for e, r in zip(est.correlations(), ref.correlations()):
+                assert abs(e.value - r.value) <= 5.0 * math.hypot(e.std_error, r.std_error)
+
+    def test_estimate_correlation_agrees_with_sampling(self):
+        rng = np.random.default_rng(52)
+        pairs = [(Z, make_unit_vector(t, 0.0)) for t in (math.pi / 6, math.pi / 3, 2 * math.pi / 3)]
+        pairs += [(random_unit_vector(rng), random_unit_vector(rng)) for _ in range(3)]
+        for seed, (a, b) in enumerate(pairs):
+            est = estimate_correlation(BellSignModel(), a, b, 400_000, seed=seed)
+            ref = estimate_correlation(SampledBellSign(), a, b, 400_000, seed=100 + seed)
+            assert abs(est.value - ref.value) <= 5.0 * math.hypot(est.std_error, ref.std_error)
+            theta = math.acos(max(-1.0, min(1.0, a.dot(b))))
+            assert abs(est.value - bell_sign_exact(theta)) <= 5.0 * est.std_error
+
+    def test_bell1964_check_agrees_with_sampling(self):
+        rng = np.random.default_rng(53)
+        triples = [[make_unit_vector(t, 0.0) for t in rng.uniform(0.0, math.pi, 3)] for _ in range(5)]
+        triples += [[random_unit_vector(rng) for _ in range(3)] for _ in range(5)]
+        for seed, (a, b, b_prime) in enumerate(triples):
+            est = bell1964_check(BellSignModel(), a, b, b_prime, 100_000, seed=seed)
+            ref = bell1964_check(SampledBellSign(), a, b, b_prime, 100_000, seed=100 + seed)
+            assert abs(est.lhs - ref.lhs) <= 5.0 * math.hypot(est.lhs_std_error, ref.lhs_std_error)
+            assert abs(est.rhs - ref.rhs) <= 5.0 * math.hypot(est.rhs_std_error, ref.rhs_std_error)
+
+    def test_subclasses_take_the_sampling_route(self):
+        draws = []
+
+        class Subclass(BellSignModel):
+            def sample_lambda(self, rng, n=1):
+                draws.append(n)
+                return super().sample_lambda(rng, n)
+
+        chsh_lhv(Subclass(), random_settings(np.random.default_rng(54)), _BLOCK + 1, seed=0)
+        assert draws == [_BLOCK, 1]
 
 
 class TestBell1964:
