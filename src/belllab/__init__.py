@@ -56,7 +56,6 @@ from .agr import (
     InsufficientDataError,
     SEstimate,
     estimate_E,
-    estimate_probabilities,
     estimate_S,
     misalignment_for_damping,
     run_experiment,

@@ -3,7 +3,9 @@
 Each emitted pair yields an outcome pair (+,+), (+,-), (-,+), (-,-) from the
 Born probabilities at the analyzer orientations; each side then records its
 outcome with probability ``efficiency`` and only pairs recorded on both sides
-enter the coincidence tallies.  The experimental correlation estimator is
+enter the coincidence tallies.  A pair therefore lands in one of five cells:
+not recorded, with probability 1 - efficiency^2, or coincidence cell ij, with
+probability efficiency^2 * p_ij.  The experimental correlation estimator is
 
     E = (R++ + R-- - R+- - R-+) / (R++ + R-- + R+- + R-+)
 
@@ -15,8 +17,8 @@ uniformly random transverse axis, independently per side and per pair.  The
 Born probabilities are affine in each side's orientation and the mean
 orientation is exp(-sigma^2/2) times the nominal one, so every pair's outcome
 is an independent draw from the probabilities at the shortened orientations.
-The run is therefore sampled exactly with one multinomial draw over those
-mean probabilities, at a cost that does not grow with the number of pairs.
+The run is therefore sampled exactly with one multinomial draw over the five
+cells, at a cost that does not grow with the number of pairs.
 Every correlation is damped by exactly exp(-sigma^2), which is how a lab-like
 S below the ideal value is produced (uniform detection inefficiency alone
 leaves E unbiased under fair sampling; it only widens the error bars).
@@ -100,7 +102,6 @@ class SEstimate:
 
     s_value: float
     std_error: float
-    e_values: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -126,33 +127,29 @@ def mean_probabilities(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3) ->
     These are the Born probabilities at the shortened orientations k*a, k*b
     with k = exp(-sigma^2/2).
     """
-    k = math.exp(-0.5 * cfg.misalignment_sigma ** 2)
+    # exp already underflows to 0.0 for sigma above about 38.6, so the cap moves no
+    # value; it keeps sigma ** 2 from overflowing (k = 0 is the uniform limit).
+    k = math.exp(-0.5 * min(cfg.misalignment_sigma, 40.0) ** 2)
     return born_probabilities(correlation_tensor(cfg.state), k * a.as_array(), k * b.as_array())
 
 
 def simulate_run(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3, stream: int = 0) -> CoincidenceCounts:
     """Emit cfg.n_pairs pairs at orientations (a, b) and tally coincidences.
 
-    Outcomes are one multinomial draw over the mean probabilities, then
-    binomial thinning with the both-sides recording probability.  ``stream``
-    separates the random streams of runs sharing one config (the four
-    orientation pairs of estimate_S use streams 0..3); counts are
-    bit-identical for identical (config, orientations, stream).
+    One multinomial draw over the five cells [not recorded, ++, +-, -+, --]
+    with probabilities [1 - eff^2, eff^2 * p_ij] at the mean probabilities
+    p_ij.  The unrecorded cell comes first: at efficiency 1 its probability
+    is exactly 0, numpy draws nothing for it, and the coincidence counts are
+    those of the four-cell draw.  ``stream`` separates the random streams of
+    runs sharing one config (the four orientation pairs of estimate_S use
+    streams 0..3); counts are bit-identical for identical (config,
+    orientations, stream).
     """
     rng = np.random.default_rng([cfg.seed, stream])
-    p = np.array(mean_probabilities(cfg, a, b).as_tuple())
-    recorded = rng.binomial(rng.multinomial(cfg.n_pairs, p), cfg.efficiency * cfg.efficiency)
+    both = cfg.efficiency * cfg.efficiency
+    p = [1.0 - both, *(both * x for x in mean_probabilities(cfg, a, b).as_tuple())]
+    _, *recorded = rng.multinomial(cfg.n_pairs, p)
     return CoincidenceCounts(*(int(c) for c in recorded), n_pairs=cfg.n_pairs)
-
-
-def estimate_probabilities(c: CoincidenceCounts) -> JointProbabilities:
-    """Outcome probabilities P_ij = R_ij / (R++ + R-- + R+- + R-+)."""
-    total = c.total()
-    if total == 0:
-        raise InsufficientDataError("all coincidence counts are zero")
-    return JointProbabilities(
-        p_pp=c.r_pp / total, p_pm=c.r_pm / total, p_mp=c.r_mp / total, p_mm=c.r_mm / total
-    )
 
 
 def estimate_E(c: CoincidenceCounts) -> CorrelationEstimate:
@@ -170,14 +167,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     pairs = cfg.settings.pairs()
     counts = tuple(simulate_run(cfg, a, b, stream=i) for i, (a, b) in enumerate(pairs))
     estimates = tuple(estimate_E(c) for c in counts)
-    e = [est.value for est in estimates]
-    s_value = chsh_combination(e, "signed")
+    s_value = chsh_combination([est.value for est in estimates], "signed")
     se = math.sqrt(sum(est.std_error ** 2 for est in estimates))
     return ExperimentReport(
         config=cfg,
         counts=counts,
         correlations=estimates,
-        s=SEstimate(s_value=s_value, std_error=se, e_values=tuple(e)),
+        s=SEstimate(s_value=s_value, std_error=se),
     )
 
 

@@ -21,6 +21,7 @@ from belllab import (
     correlation_tensor,
     pauli_dot,
 )
+from belllab.agr import mean_probabilities
 from belllab.algebra import ENTANGLEMENT_TOL, _first_nonzero_phase
 
 
@@ -197,6 +198,17 @@ def per_pair_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> Coi
         tallies += np.bincount(outcome, minlength=4)
         done += m
     return CoincidenceCounts(*(int(c) for c in tallies), n_pairs=n)
+
+
+def four_cell_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> CoincidenceCounts:
+    """Efficiency-1 run as one multinomial over the four mean probabilities alone.
+
+    The oracle of agr.simulate_run's five-cell draw at efficiency 1, where the
+    unrecorded cell has probability 0 and must leave the stream untouched.
+    """
+    p = np.array(mean_probabilities(cfg, a, b).as_tuple())
+    counts = np.random.default_rng([cfg.seed, stream]).multinomial(cfg.n_pairs, p)
+    return CoincidenceCounts(*(int(c) for c in counts), n_pairs=cfg.n_pairs)
 
 
 # ------------------------------------------------ trigonometric sphere sampler

@@ -8,11 +8,11 @@ from belllab import (
     CoincidenceCounts,
     ExperimentConfig,
     InsufficientDataError,
+    JointProbabilities,
     MeasurementSettings,
     canonical_state,
     correlation_matrix,
     estimate_E,
-    estimate_probabilities,
     estimate_S,
     joint_probabilities,
     make_unit_vector,
@@ -21,7 +21,8 @@ from belllab import (
     simulate_run,
 )
 from belllab.agr import mean_probabilities
-from helpers import kron_probabilities, per_pair_counts, random_state, random_unit_vector
+from helpers import (four_cell_counts, kron_probabilities, per_pair_counts, random_state,
+                     random_unit_vector)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -66,6 +67,21 @@ class TestSimulateRun:
         counts = simulate_run(cfg, make_unit_vector(0.0, 0.0), b)
         est = estimate_E(counts)
         assert abs(est.value - (-0.5)) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    @pytest.mark.parametrize("n_pairs", [1, 7, 10 ** 3, 10 ** 6, 10 ** 12, 2 ** 63 - 1])
+    def test_unit_efficiency_is_the_four_cell_draw(self, n_pairs, sigma):
+        # The unrecorded cell has probability exactly 0 here and comes first, so
+        # numpy draws nothing for it.  Placed last, its float remainder leaks
+        # pairs at n_pairs = 2**63 - 1 for about a quarter of random cases.
+        rng = np.random.default_rng(43)
+        for seed in range(20):
+            a, b = random_unit_vector(rng), random_unit_vector(rng)
+            cfg = ExperimentConfig(state=random_state(rng), settings=OPTIMAL, n_pairs=n_pairs,
+                                   misalignment_sigma=sigma, seed=seed)
+            counts = simulate_run(cfg, a, b, stream=seed % 4)
+            assert counts == four_cell_counts(cfg, a, b, stream=seed % 4)
+            assert counts.total() == n_pairs
 
     def test_efficiency_thins_counts(self):
         cfg = ideal_config(n_pairs=100_000, efficiency=0.5)
@@ -214,27 +230,17 @@ class TestMeanProbabilitySampler:
 
 
 class TestEstimateProbabilities:
-    def test_anticorrelated_counts(self):
-        jp = estimate_probabilities(CoincidenceCounts(0, 500_000, 500_000, 0, n_pairs=10 ** 6))
-        assert jp.as_tuple() == (0.0, 0.5, 0.5, 0.0)
-
-    def test_uniform_counts(self):
-        jp = estimate_probabilities(CoincidenceCounts(250, 250, 250, 250, n_pairs=1000))
-        assert jp.as_tuple() == (0.25, 0.25, 0.25, 0.25)
+    """Coincidence ratios R_ij / total estimate the Born probabilities."""
 
     def test_simulated_run_tracks_born_rule(self):
         cfg = ideal_config(n_pairs=1_000_000)
         b = make_unit_vector(math.pi / 4, 0.0)
         counts = simulate_run(cfg, OPTIMAL.a, b)
-        got = estimate_probabilities(counts)
+        got = [r / counts.total() for r in counts.as_tuple()]
         expect = joint_probabilities(SINGLET, OPTIMAL.a, b)
-        for g, e in zip(got.as_tuple(), expect.as_tuple()):
+        for g, e in zip(got, expect.as_tuple()):
             se = math.sqrt(max(e * (1 - e) / cfg.n_pairs, 1e-15))
             assert abs(g - e) <= 3.0 * se + 1e-9
-
-    def test_zero_counts_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            estimate_probabilities(CoincidenceCounts(0, 0, 0, 0, n_pairs=100))
 
 
 class TestEstimateE:
@@ -257,9 +263,8 @@ class TestEstimateE:
             counts = CoincidenceCounts(*(int(k) for k in rng.integers(0, 1000, 4)), n_pairs=4000)
             if counts.total() == 0:
                 continue
-            assert estimate_probabilities(counts).correlation() == pytest.approx(
-                estimate_E(counts).value, abs=1e-15
-            )
+            jp = JointProbabilities(*(r / counts.total() for r in counts.as_tuple()))
+            assert jp.correlation() == pytest.approx(estimate_E(counts).value, abs=1e-15)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -315,7 +320,7 @@ class TestEstimateS:
         report = run_experiment(ideal_config(n_pairs=10_000, seed=6))
         assert len(report.counts) == 4
         assert len(report.correlations) == 4
-        e = report.s.e_values
+        e = [c.value for c in report.correlations]
         assert report.s.s_value == pytest.approx(e[0] - e[1] + e[2] + e[3], abs=1e-15)
         expected_se = math.sqrt(sum(c.std_error ** 2 for c in report.correlations))
         assert report.s.std_error == pytest.approx(expected_se, rel=1e-12)

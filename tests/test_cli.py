@@ -188,7 +188,7 @@ class TestLhvCommand:
         assert rc == 0
         assert out.count("E(") == 4
         assert "S = " in out
-        assert "pass" in out
+        assert "local bound (S <= 2 exactly): pass" in out
 
     def test_single_sample_stays_within_the_local_bound(self, capsys):
         rc, out, _ = run_cli(
@@ -225,6 +225,15 @@ class TestLhvCommand:
         rc2, out2, _ = run_cli(capsys, *argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_local_bound_rule_per_builtin_model(self, capsys):
+        assert set(cli.LOCAL_BOUND_SIGMAS) == set(cli.BUILTIN_MODELS)
+        rc, out, _ = run_cli(
+            capsys, "lhv", "--model", "averaged-linear", "--samples", "20000", "--seed", "1",
+            "--gisin-for", "0.7071068", "0.7071068",
+        )
+        assert rc == 0
+        assert "local bound (S <= 2 within 5 sigma): pass" in out
 
     def test_averaged_linear_model(self, capsys):
         rc, out, _ = run_cli(
@@ -307,6 +316,15 @@ class TestAgrCommand:
         assert rc == 2
         assert "finite" in err
         assert out == ""
+
+    def test_huge_sigma_gives_the_uniform_limit(self, capsys):
+        # sigma ** 2 used to overflow into an OverflowError traceback with exit 1.
+        rc, out, _ = run_cli(
+            capsys, "agr", "--pairs", "100000", "--misalignment-sigma", "1e200", "--format", "json"
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert abs(payload["S"]) <= 5.0 * payload["stderr"]
 
     def test_oversized_pairs_exit_2(self, capsys):
         # Used to raise an uncaught OverflowError from the sampler.

@@ -1,6 +1,8 @@
-"""Smoke tests: each experiment script runs at a small size and exits 0."""
+"""Smoke tests: each experiment script runs at a small size and exits 0, and the
+README's Python API sketch runs as written."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -22,3 +24,14 @@ def test_script_runs(tmp_path, script, args):
     done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_readme_api_sketch_runs():
+    readme = (ROOT / "README.md").read_text()
+    (sketch,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    namespace = {}
+    exec(compile(sketch, "README.md", "exec"), namespace)
+    bl = namespace["bl"]
+    assert bl.chsh_value(namespace["state"], namespace["settings"]) > 2.0
+    assert namespace["est"].value <= 2.0
+    assert bl.estimate_S(namespace["cfg"]).s_value == pytest.approx(-2.70, abs=0.01)
