@@ -65,10 +65,6 @@ from .regions import (
     Plane,
     ViolationGrid,
     scan_region,
-    scenario_closed_form,
-    scenario_settings,
     write_grid_csv,
     write_grid_json,
 )
-
-TSIRELSON_BOUND = 2.0 ** 1.5

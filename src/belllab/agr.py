@@ -60,9 +60,6 @@ class CoincidenceCounts:
     def total(self) -> int:
         return self.r_pp + self.r_pm + self.r_mp + self.r_mm
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.r_pp, self.r_pm, self.r_mp, self.r_mm)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -108,7 +105,6 @@ class SEstimate:
 class ExperimentReport:
     """Counts, per-pair correlation estimates, and the combined S for one run."""
 
-    config: ExperimentConfig
     counts: tuple[CoincidenceCounts, ...]
     correlations: tuple[CorrelationEstimate, ...]
     s: SEstimate
@@ -170,7 +166,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     s_value = chsh_combination([est.value for est in estimates], "signed")
     se = math.sqrt(sum(est.std_error ** 2 for est in estimates))
     return ExperimentReport(
-        config=cfg,
         counts=counts,
         correlations=estimates,
         s=SEstimate(s_value=s_value, std_error=se),

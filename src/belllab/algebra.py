@@ -43,12 +43,6 @@ class UnitVector3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def dot(self, other: "UnitVector3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def __neg__(self) -> "UnitVector3":
-        return UnitVector3(-self.x, -self.y, -self.z)
-
 
 def make_unit_vector(theta: float, phi: float) -> UnitVector3:
     """Unit vector from spherical angles: (sin t cos p, sin t sin p, cos t)."""
@@ -171,16 +165,6 @@ class SchmidtForm:
                 raise ValueError(f"{name} is not unitary")
             u.setflags(write=False)
             object.__setattr__(self, name, u)
-
-    @property
-    def entangled(self) -> bool:
-        return self.c2 > ENTANGLEMENT_TOL
-
-    def reconstruct(self) -> TwoQubitState:
-        """State rebuilt from the Schmidt data (global phase fixed arbitrarily)."""
-        m = self.c1 * np.outer(self.basis_a[:, 0], self.basis_b[:, 0])
-        m = m + self.sign * self.c2 * np.outer(self.basis_a[:, 1], self.basis_b[:, 1])
-        return TwoQubitState(m.reshape(4))
 
 
 def _first_nonzero_phase(v: np.ndarray) -> complex:

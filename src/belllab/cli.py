@@ -236,7 +236,6 @@ def cmd_chsh(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    plane = Plane(args.plane)
     if args.concurrence is not None:
         if args.c1 is not None or args.c2 is not None:
             raise ValueError("pass either --concurrence or --c1/--c2, not both")
@@ -247,14 +246,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("--sign applies only to --concurrence; give c2 its sign instead")
     else:
         c1, c2 = _normalize_pair(args.c1, args.c2)
-    grid = scan_region(plane, c1, c2, args.grid)
+    grid = scan_region(args.plane, c1, c2, args.grid)
     if args.out:
         if args.format == "json":
             write_grid_json(grid, args.out)
         else:
             write_grid_csv(grid, args.out)
     print(
-        f"{VERSION_TAG} scan plane={plane.value} c1={c1:.9g} c2={c2:.9g} "
+        f"{VERSION_TAG} scan plane={grid.plane.value} c1={c1:.9g} c2={c2:.9g} "
         f"grid={args.grid} violating_fraction={grid.violating_fraction:.9g}"
         + (f" out={args.out}" if args.out else "")
     )

@@ -17,12 +17,13 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import UnitVector3, check_normalized
+from .algebra import check_normalized
 from .chsh import MeasurementSettings, chsh_combination, correlation_closed
 
 VIOLATION_THRESHOLD = 2.0
@@ -51,9 +52,9 @@ class Plane(enum.Enum):
 def _components(plane: Plane, t1, t2):
     """Orientations (a, b, a', b') of the given plane as _Vector triples.
 
-    Works elementwise on numpy arrays as well as on scalars.  In the xz and
-    yz planes the angles are polar angles and the primed vectors are rotated
-    by +pi/2; in the xy plane they are azimuths with the same offset.
+    Works elementwise on broadcast numpy arrays.  In the xz and yz planes the
+    angles are polar angles and the primed vectors are rotated by +pi/2; in
+    the xy plane they are azimuths with the same offset.
     """
     c1, s1 = np.cos(t1), np.sin(t1)
     c2, s2 = np.cos(t2), np.sin(t2)
@@ -70,32 +71,6 @@ def _components(plane: Plane, t1, t2):
     return tuple(_Vector(*v) for v in (a, b, ap, bp))
 
 
-def scenario_settings(plane: Plane, angle1: float, angle2: float) -> MeasurementSettings:
-    """Analyzer quadruple of the given coplanar scenario at (angle1, angle2)."""
-    vectors = _components(plane, float(angle1), float(angle2))
-    return MeasurementSettings(*(UnitVector3(*(float(c) for c in v)) for v in vectors))
-
-
-def scenario_closed_form(plane: Plane, sign_case: int, angle1, angle2):
-    """Single-variable closed form of the Bell combination at 2*c1*c2 = +-1.
-
-    For the xy plane with sign_case +1 this is |cos x - sin x| + cos x - sin x
-    at x = angle1 - angle2; the xz and yz planes share their closed forms.
-    Accepts scalars or numpy arrays.
-    """
-    if sign_case not in (-1, 1):
-        raise ValueError(f"sign_case must be +-1, got {sign_case}")
-    if plane is Plane.XY or sign_case == -1:
-        x = np.asarray(angle1) - np.asarray(angle2)
-        cs = np.cos(x) - np.sin(x)
-        out = np.abs(cs) + sign_case * cs
-    else:
-        u = np.asarray(angle1) + np.asarray(angle2)
-        cs = np.cos(u) + np.sin(u)
-        out = np.abs(cs) + cs
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class ViolationGrid:
     """Bell values over a uniform angle grid with the violating fraction.
@@ -109,17 +84,20 @@ class ViolationGrid:
     axis1: np.ndarray
     axis2: np.ndarray
     values: np.ndarray
-    threshold: float
     violating_fraction: float
 
 
-def scan_region(plane: Plane, c1: float, c2: float, grid_n: int) -> ViolationGrid:
+def scan_region(plane: Plane | str, c1: float, c2: float, grid_n: int) -> ViolationGrid:
     """Scan the (angle1, angle2) cell-center grid over [0, 2*pi)^2.
 
-    Marks strict violations (value > 2) and reports their fraction of the
-    grid_n x grid_n cells.
+    ``plane`` is a Plane or its value ("xy", "xz", "yz"); anything else raises
+    ValueError.  Marks strict violations (value > 2) and reports their fraction
+    of the grid_n x grid_n cells.
     """
+    plane = Plane(plane)
     check_normalized(c1, c2)
+    if not isinstance(grid_n, numbers.Integral) or isinstance(grid_n, bool):
+        raise TypeError(f"grid_n must be an integer, not {type(grid_n).__name__}")
     if not (2 <= grid_n <= MAX_GRID_N):
         raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}]")
     centers = (np.arange(grid_n) + 0.5) * (2.0 * math.pi / grid_n)
@@ -133,7 +111,6 @@ def scan_region(plane: Plane, c1: float, c2: float, grid_n: int) -> ViolationGri
         axis1=centers,
         axis2=centers.copy(),
         values=values,
-        threshold=VIOLATION_THRESHOLD,
         violating_fraction=fraction,
     )
 
@@ -171,12 +148,11 @@ def write_grid_csv(grid: ViolationGrid, path) -> None:
     grid row at a time, end in CRLF (the csv module's dialect).  Each distinct
     value's ``bell_lhs,violated`` tail is formatted once (see _cell_rows).
     """
-    threshold = grid.threshold
     axis2 = [f"{t2:.12g}," for t2 in grid.axis2.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# plane={grid.plane.value} c1={grid.c1:.12g} c2={grid.c2:.12g} "
-            f"grid_n={len(grid.axis1)} threshold={threshold:.12g} "
+            f"grid_n={len(grid.axis1)} threshold={VIOLATION_THRESHOLD:.12g} "
             f"violating_fraction={grid.violating_fraction:.12g}\n"
             "angle1,angle2,bell_lhs,violated\r\n"
         )
@@ -184,7 +160,8 @@ def write_grid_csv(grid: ViolationGrid, path) -> None:
         n = len(axis2)
         row = [""] * (3 * n)
         row[1::3] = axis2
-        tails = _cell_rows(grid.values, lambda v: f"{v:.12g},{1 if v > threshold else 0}\r\n")
+        tails = _cell_rows(grid.values,
+                           lambda v: f"{v:.12g},{1 if v > VIOLATION_THRESHOLD else 0}\r\n")
         for t1, cells in zip(grid.axis1.tolist(), tails):
             row[0::3] = [f"{t1:.12g},"] * n
             row[2::3] = cells
@@ -209,7 +186,7 @@ def write_grid_json(grid: ViolationGrid, path) -> None:
             f'  "axis2": {array(map(_json_number, grid.axis2.tolist()), 2)},\n'
             f'  "c1": {json.dumps(grid.c1)},\n  "c2": {json.dumps(grid.c2)},\n'
             f'  "plane": {json.dumps(grid.plane.value)},\n'
-            f'  "threshold": {json.dumps(grid.threshold)},\n  "values": ['
+            f'  "threshold": {json.dumps(VIOLATION_THRESHOLD)},\n  "values": ['
         )
         for i, cells in enumerate(_cell_rows(grid.values, _json_number)):
             fh.write(("," if i else "") + "\n    " + array(cells, 4))

@@ -1,4 +1,4 @@
-"""Shared random generators, reference samplers and reference writers for the test suite."""
+"""Shared random generators, oracles, reference samplers and reference writers for the test suite."""
 import csv
 import itertools
 import json
@@ -15,6 +15,7 @@ from belllab import (
     CoincidenceCounts,
     JointProbabilities,
     MeasurementSettings,
+    Plane,
     SchmidtForm,
     TwoQubitState,
     UnitVector3,
@@ -23,6 +24,7 @@ from belllab import (
 )
 from belllab.agr import mean_probabilities
 from belllab.algebra import ENTANGLEMENT_TOL, _first_nonzero_phase
+from belllab.regions import VIOLATION_THRESHOLD
 
 
 def random_unit_vector(rng: np.random.Generator) -> UnitVector3:
@@ -74,6 +76,13 @@ def projector(n: UnitVector3) -> np.ndarray:
     return 0.5 * (IDENTITY2 + pauli_dot(n))
 
 
+def reconstruct(form: SchmidtForm) -> TwoQubitState:
+    """State rebuilt from Schmidt data (global phase fixed arbitrarily)."""
+    m = form.c1 * np.outer(form.basis_a[:, 0], form.basis_b[:, 0])
+    m = m + form.sign * form.c2 * np.outer(form.basis_a[:, 1], form.basis_b[:, 1])
+    return TwoQubitState(m.reshape(4))
+
+
 def kron_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> JointProbabilities:
     """Born probabilities from the 4x4 projector products (I +- a.sigma)/2 (x) (I +- b.sigma)/2.
 
@@ -82,8 +91,8 @@ def kron_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> 
     """
     psi = state.amplitudes
     vals = []
-    for pa in (projector(a), projector(-a)):
-        for pb in (projector(b), projector(-b)):
+    for pa in (projector(a), projector(UnitVector3(-a.x, -a.y, -a.z))):
+        for pb in (projector(b), projector(UnitVector3(-b.x, -b.y, -b.z))):
             p = float(np.vdot(psi, np.kron(pa, pb) @ psi).real)
             vals.append(min(1.0, max(0.0, p)))  # clip float noise at the edges
     return JointProbabilities(*vals)
@@ -290,7 +299,7 @@ def reference_grid_csv(grid, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# plane={grid.plane.value} c1={grid.c1:.12g} c2={grid.c2:.12g} "
-            f"grid_n={len(grid.axis1)} threshold={grid.threshold:.12g} "
+            f"grid_n={len(grid.axis1)} threshold={VIOLATION_THRESHOLD:.12g} "
             f"violating_fraction={grid.violating_fraction:.12g}\n"
         )
         writer = csv.writer(fh)
@@ -299,7 +308,7 @@ def reference_grid_csv(grid, path) -> None:
             for j, t2 in enumerate(grid.axis2):
                 v = grid.values[i, j]
                 writer.writerow(
-                    [f"{t1:.12g}", f"{t2:.12g}", f"{v:.12g}", int(v > grid.threshold)]
+                    [f"{t1:.12g}", f"{t2:.12g}", f"{v:.12g}", int(v > VIOLATION_THRESHOLD)]
                 )
 
 
@@ -309,7 +318,7 @@ def reference_grid_json(grid, path) -> None:
         "plane": grid.plane.value,
         "c1": grid.c1,
         "c2": grid.c2,
-        "threshold": grid.threshold,
+        "threshold": VIOLATION_THRESHOLD,
         "violating_fraction": grid.violating_fraction,
         "axis1": grid.axis1.tolist(),
         "axis2": grid.axis2.tolist(),
@@ -318,3 +327,47 @@ def reference_grid_json(grid, path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# ------------------------------------------------------- coplanar scenarios
+#
+# The analyzer quadruples of regions.scan_region at one grid point, written
+# out plane by plane, and the closed form of the Bell combination at
+# 2*c1*c2 = +-1: independent oracles of the scan's angle convention and values.
+
+
+def scenario_settings(plane: Plane, angle1: float, angle2: float) -> MeasurementSettings:
+    """Analyzer quadruple (a, b, a', b') of the given coplanar scenario at (angle1, angle2).
+
+    In the xz and yz planes the angles are polar angles from z; in the xy plane
+    they are azimuths from x.  The primed vectors are rotated by +pi/2.
+    """
+    c1, s1 = math.cos(angle1), math.sin(angle1)
+    c2, s2 = math.cos(angle2), math.sin(angle2)
+    if plane is Plane.XZ:
+        vectors = (s1, 0.0, c1), (s2, 0.0, c2), (c1, 0.0, -s1), (c2, 0.0, -s2)
+    elif plane is Plane.XY:
+        vectors = (c1, s1, 0.0), (c2, s2, 0.0), (-s1, c1, 0.0), (-s2, c2, 0.0)
+    else:
+        vectors = (0.0, s1, c1), (0.0, s2, c2), (0.0, c1, -s1), (0.0, c2, -s2)
+    return MeasurementSettings(*(UnitVector3(*v) for v in vectors))
+
+
+def scenario_closed_form(plane: Plane, sign_case: int, angle1, angle2):
+    """Single-variable closed form of the Bell combination at 2*c1*c2 = +-1.
+
+    For the xy plane with sign_case +1 this is |cos x - sin x| + cos x - sin x
+    at x = angle1 - angle2; the xz and yz planes share their closed forms.
+    Accepts scalars or numpy arrays.
+    """
+    if sign_case not in (-1, 1):
+        raise ValueError(f"sign_case must be +-1, got {sign_case}")
+    if plane is Plane.XY or sign_case == -1:
+        x = np.asarray(angle1) - np.asarray(angle2)
+        cs = np.cos(x) - np.sin(x)
+        out = np.abs(cs) + sign_case * cs
+    else:
+        u = np.asarray(angle1) + np.asarray(angle2)
+        cs = np.cos(u) + np.sin(u)
+        out = np.abs(cs) + cs
+    return out if out.ndim else float(out)

@@ -116,7 +116,7 @@ class TestSimulateRun:
         cfg = ideal_config(n_pairs=500_000, misalignment_sigma=1e-9)
         counts = simulate_run(cfg, OPTIMAL.a, OPTIMAL.b)
         jp = joint_probabilities(SINGLET, OPTIMAL.a, OPTIMAL.b)
-        for got, expect in zip(counts.as_tuple(), jp.as_tuple()):
+        for got, expect in zip((counts.r_pp, counts.r_pm, counts.r_mp, counts.r_mm), jp.as_tuple()):
             se = math.sqrt(max(expect * (1 - expect), 1e-12) * cfg.n_pairs)
             assert abs(got - expect * cfg.n_pairs) <= 5.0 * se + 1.0
 
@@ -170,7 +170,7 @@ def chi_square(observed, probabilities, n):
 
 def binned(counts, cfg):
     """Outcome tallies plus the unrecorded pairs, when any can be lost."""
-    bins = list(counts.as_tuple())
+    bins = [counts.r_pp, counts.r_pm, counts.r_mp, counts.r_mm]
     return bins + [cfg.n_pairs - counts.total()] if cfg.efficiency < 1.0 else bins
 
 
@@ -236,7 +236,7 @@ class TestEstimateProbabilities:
         cfg = ideal_config(n_pairs=1_000_000)
         b = make_unit_vector(math.pi / 4, 0.0)
         counts = simulate_run(cfg, OPTIMAL.a, b)
-        got = [r / counts.total() for r in counts.as_tuple()]
+        got = [r / counts.total() for r in (counts.r_pp, counts.r_pm, counts.r_mp, counts.r_mm)]
         expect = joint_probabilities(SINGLET, OPTIMAL.a, b)
         for g, e in zip(got, expect.as_tuple()):
             se = math.sqrt(max(e * (1 - e) / cfg.n_pairs, 1e-15))
@@ -263,7 +263,7 @@ class TestEstimateE:
             counts = CoincidenceCounts(*(int(k) for k in rng.integers(0, 1000, 4)), n_pairs=4000)
             if counts.total() == 0:
                 continue
-            jp = JointProbabilities(*(r / counts.total() for r in counts.as_tuple()))
+            jp = JointProbabilities(*(r / counts.total() for r in (counts.r_pp, counts.r_pm, counts.r_mp, counts.r_mm)))
             assert jp.correlation() == pytest.approx(estimate_E(counts).value, abs=1e-15)
 
     def test_zero_denominator_rejected(self):

@@ -19,12 +19,13 @@ from belllab import (
     schmidt_decompose,
     tensor_observable,
 )
-from belllab.algebra import NORM_TOL
+from belllab.algebra import ENTANGLEMENT_TOL, NORM_TOL
 from helpers import (
     edge_unit_vectors,
     random_state,
     random_unit_vector,
     random_unitary2,
+    reconstruct,
     reference_pauli_dot,
     reference_schmidt_decompose,
     reference_tensor_observable,
@@ -103,7 +104,7 @@ class TestPauliDot:
             a, b = random_unit_vector(rng), random_unit_vector(rng)
             lhs = pauli_dot(a) @ pauli_dot(b)
             cx = np.cross(a.as_array(), b.as_array())
-            rhs = a.dot(b) * IDENTITY2 + 1j * (cx[0] * SIGMA_X + cx[1] * SIGMA_Y + cx[2] * SIGMA_Z)
+            rhs = (a.as_array() @ b.as_array()) * IDENTITY2 + 1j * (cx[0] * SIGMA_X + cx[1] * SIGMA_Y + cx[2] * SIGMA_Z)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -248,7 +249,7 @@ class TestSchmidtDecompose:
         form = schmidt_decompose(TwoQubitState(np.array([1.0, 0, 0, 0])))
         assert form.c1 == pytest.approx(1.0, abs=1e-12)
         assert form.c2 == pytest.approx(0.0, abs=1e-12)
-        assert not form.entangled
+        assert form.c2 <= ENTANGLEMENT_TOL
 
     def test_coefficients_match_closed_form_oracle(self):
         rng = np.random.default_rng(5)
@@ -266,7 +267,7 @@ class TestSchmidtDecompose:
         worst = 0.0
         for _ in range(10_000):
             state = random_state(rng)
-            rebuilt = schmidt_decompose(state).reconstruct()
+            rebuilt = reconstruct(schmidt_decompose(state))
             overlap = np.vdot(rebuilt.amplitudes, state.amplitudes)
             phase = overlap / abs(overlap)
             err = np.linalg.norm(rebuilt.amplitudes * phase - state.amplitudes)
@@ -285,7 +286,7 @@ class TestSchmidtDecompose:
         state = TwoQubitState(np.array([0.0, INV_SQRT2, 1j * INV_SQRT2, 0.0]))
         form = schmidt_decompose(state)
         assert form.sign == 1
-        rebuilt = form.reconstruct()
+        rebuilt = reconstruct(form)
         overlap = abs(np.vdot(rebuilt.amplitudes, state.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -300,7 +301,7 @@ class TestSchmidtDecompose:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_property(self, seed):
         state = random_state(np.random.default_rng(seed))
-        rebuilt = schmidt_decompose(state).reconstruct()
+        rebuilt = reconstruct(schmidt_decompose(state))
         assert abs(np.vdot(rebuilt.amplitudes, state.amplitudes)) == pytest.approx(
             1.0, abs=1e-10
         )
@@ -362,7 +363,7 @@ class TestSchmidtFormValidation:
 
     def test_rejects_slightly_non_unitary_diagonal(self):
         # |u^H u - I| was allowed 1e-5 on the diagonal: this basis constructed and
-        # reconstruct() then raised "state not normalized".
+        # reconstructing it then raised "state not normalized".
         with pytest.raises(ValueError, match="not unitary"):
             SchmidtForm(c1=1.0, c2=0.0, sign=1, basis_a=np.diag([1.000004, 1.0]), basis_b=np.eye(2))
 
@@ -416,7 +417,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(40)
         vectors = edge_unit_vectors() + [random_unit_vector(rng) for _ in range(500)]
         vectors += [UnitVector3(0, 0, 1), UnitVector3(-1, 0, 0), UnitVector3(0, -1, 0)]
-        vectors += [-v for v in vectors]
+        vectors += [UnitVector3(-v.x, -v.y, -v.z) for v in vectors]
         for n in vectors:
             assert same_bits(pauli_dot(n), reference_pauli_dot(n)), n
 

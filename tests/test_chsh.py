@@ -48,7 +48,7 @@ class TestProjector:
         np.testing.assert_array_equal(projector(Z), np.diag([1.0 + 0j, 0.0]))
 
     def test_minus_z(self):
-        np.testing.assert_array_equal(projector(-Z), np.diag([0.0 + 0j, 1.0]))
+        np.testing.assert_array_equal(projector(UnitVector3(-Z.x, -Z.y, -Z.z)), np.diag([0.0 + 0j, 1.0]))
 
     def test_plus_x(self):
         np.testing.assert_allclose(projector(X), 0.5 * np.ones((2, 2)), atol=1e-15)
@@ -108,7 +108,7 @@ class TestCorrelationClosed:
         for _ in range(50):
             a, b = random_unit_vector(rng), random_unit_vector(rng)
             got = correlation_closed(INV_SQRT2, -INV_SQRT2, a, b)
-            assert got == pytest.approx(-a.dot(b), abs=1e-12)
+            assert got == pytest.approx(-(a.as_array() @ b.as_array()), abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -227,7 +227,7 @@ class TestBitIdentity:
             for a in vectors:
                 b = random_unit_vector(rng)
                 k = rng.uniform(0.0, 1.0)
-                for x, y in ((a, b), (a, a), (a, -a), (a, -b)):
+                for x, y in ((a, b), (a, a), (a, UnitVector3(-a.x, -a.y, -a.z)), (a, UnitVector3(-b.x, -b.y, -b.z))):
                     for scale in (1.0, k):
                         xv, yv = scale * x.as_array(), scale * y.as_array()
                         got = born_probabilities(tensor, xv, yv).as_tuple()

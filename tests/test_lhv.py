@@ -163,7 +163,7 @@ class TestEstimateCorrelation:
         for seed in range(3):
             a, b = random_unit_vector(rng), random_unit_vector(rng)
             est = estimate_correlation(AveragedLinearModel(), a, b, 400_000, seed=seed)
-            assert abs(est.value - (-a.dot(b) / 3.0)) <= 5.0 * est.std_error
+            assert abs(est.value - (-(a.as_array() @ b.as_array()) / 3.0)) <= 5.0 * est.std_error
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -382,7 +382,7 @@ PAIR_SETS = {
     "coplanar": quadruple_pairs(*_coplanar),
     "repeated": quadruple_pairs(_u, _v, _u, _w),
     "bell1964-repeated": bell1964_pairs(_u, _v, _w),
-    "antipodal": quadruple_pairs(_u, _v, _w, -_w),
+    "antipodal": quadruple_pairs(_u, _v, _w, UnitVector3(-_w.x, -_w.y, -_w.z)),
     "orthogonal": quadruple_pairs(_x, _y, Z, UnitVector3(*(np.ones(3) / math.sqrt(3.0)))),
     "coplanar-triple": quadruple_pairs(*xz_vectors(20.0, 100.0, 230.0), _y),
     **{f"near-coplanar-{eps:g}": quadruple_pairs(*(tilted(v, eps * (-2) ** i) for i, v in enumerate(_coplanar)))
@@ -517,7 +517,7 @@ class TestExactSignRoute:
             est = estimate_correlation(BellSignModel(), a, b, 400_000, seed=seed)
             ref = estimate_correlation(SampledBellSign(), a, b, 400_000, seed=100 + seed)
             assert abs(est.value - ref.value) <= 5.0 * math.hypot(est.std_error, ref.std_error)
-            theta = math.acos(max(-1.0, min(1.0, a.dot(b))))
+            theta = math.acos(max(-1.0, min(1.0, a.as_array() @ b.as_array())))
             assert abs(est.value - bell_sign_exact(theta)) <= 5.0 * est.std_error
 
     def test_bell1964_check_agrees_with_sampling(self):
@@ -568,7 +568,7 @@ class TestBell1964:
         # a perpendicular to b and b' = -b: lhs -> 0, rhs -> 2 exactly.
         a = Z
         b = make_unit_vector(math.pi / 2, 0.0)
-        b_prime = -b
+        b_prime = UnitVector3(-b.x, -b.y, -b.z)
         res = bell1964_check(BellSignModel(), a, b, b_prime, 400_000, seed=7)
         assert abs(res.lhs - 0.0) <= 5.0 * res.lhs_std_error
         assert abs(res.rhs - 2.0) <= 5.0 * res.rhs_std_error

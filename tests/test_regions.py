@@ -16,14 +16,12 @@ from belllab import (
     chsh_value,
     correlation_closed,
     scan_region,
-    scenario_closed_form,
-    scenario_settings,
     write_grid_csv,
     write_grid_json,
 )
 from belllab import regions
 from belllab.regions import MAX_GRID_N
-from helpers import reference_grid_csv, reference_grid_json
+from helpers import reference_grid_csv, reference_grid_json, scenario_closed_form, scenario_settings
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -62,8 +60,8 @@ class TestScenarioSettings:
     @settings(max_examples=200, deadline=None)
     def test_primed_vectors_orthogonal(self, plane, t1, t2):
         s = scenario_settings(plane, t1, t2)
-        assert abs(s.a.dot(s.a_prime)) < 1e-12
-        assert abs(s.b.dot(s.b_prime)) < 1e-12
+        assert abs(s.a.as_array() @ s.a_prime.as_array()) < 1e-12
+        assert abs(s.b.as_array() @ s.b_prime.as_array()) < 1e-12
 
 
 class TestScenarioClosedForm:
@@ -196,6 +194,30 @@ class TestScanRegion:
         for c1, c2 in ((math.nan, 0.5), (0.5, math.nan)):  # used to scan an all-NaN grid
             with pytest.raises(ValueError, match="not normalized"):
                 scan_region(Plane.XY, c1, c2, 16)
+
+    @pytest.mark.parametrize("plane", list(Plane))
+    def test_plane_by_value(self, plane):
+        # Any plane that was not a Plane member used to scan the yz plane.
+        by_value = scan_region(plane.value, *canonical_coefficients(0.9), 64)
+        by_member = scan_region(plane, *canonical_coefficients(0.9), 64)
+        assert by_value.plane is plane
+        assert np.array_equal(by_value.values, by_member.values)
+        assert by_value.violating_fraction == by_member.violating_fraction
+
+    @pytest.mark.parametrize("plane", ["nonsense", "XY", "", None, 0])
+    def test_rejects_unknown_plane(self, plane):
+        with pytest.raises(ValueError):
+            scan_region(plane, INV_SQRT2, INV_SQRT2, 16)
+
+    @pytest.mark.parametrize("grid_n", [100.5, 64.0, True, "64"])
+    def test_rejects_non_integer_grid_n(self, grid_n):
+        # grid_n = 100.5 used to scan 101 x 101 cells, the last centred at 2*pi.
+        with pytest.raises(TypeError, match="grid_n"):
+            scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, grid_n)
+
+    def test_numpy_integer_grid_n(self):
+        grid = scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, np.int64(16))
+        assert np.array_equal(grid.values, scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, 16).values)
 
 
 class TestGridExport:

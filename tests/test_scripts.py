@@ -1,5 +1,7 @@
-"""Smoke tests: each experiment script runs at a small size and exits 0, and the
-README's Python API sketch runs as written."""
+"""Smoke tests: each experiment script runs at a small size and exits 0, the
+per-call harness times every function in this tree, and the README's Python
+API sketch runs as written."""
+import importlib.util
 import os
 import pathlib
 import re
@@ -35,3 +37,13 @@ def test_readme_api_sketch_runs():
     assert bl.chsh_value(namespace["state"], namespace["settings"]) > 2.0
     assert namespace["est"].value <= 2.0
     assert bl.estimate_S(namespace["cfg"]).s_value == pytest.approx(-2.70, abs=0.01)
+
+
+def test_bench_exact_path_times_every_function():
+    # --help alone leaves the harness's child program untested.
+    spec = importlib.util.spec_from_file_location("bench_exact_path", ROOT / "scripts" / "bench_exact_path.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    times = bench.time_tree(str(ROOT / "src"))
+    assert sorted(times) == sorted(bench.FUNCTIONS)
+    assert all(times[name] > 0.0 for name in bench.FUNCTIONS)
