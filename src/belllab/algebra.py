@@ -5,6 +5,7 @@ Amplitude ordering is fixed as |00>, |01>, |10>, |11> throughout the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +95,10 @@ class TwoQubitState:
 
 
 def check_normalized(c1: float, c2: float, tol: float = 1e-9) -> float:
-    """c1^2 + c2^2, raising ValueError unless it is within tol of 1 (NaN and inf never are)."""
+    """c1^2 + c2^2 of real c1, c2, raising ValueError unless within tol of 1 (NaN and inf never are)."""
     n2 = c1 * c1 + c2 * c2
+    if not isinstance(n2, (float, numbers.Real)):  # float first: an ABC check alone is slower
+        raise TypeError(f"coefficients must be real, got {type(c1).__name__} and {type(c2).__name__}")
     if not abs(n2 - 1.0) <= tol:
         raise ValueError(f"coefficients not normalized: c1^2 + c2^2 = {n2}")
     return n2

@@ -183,15 +183,15 @@ def _sign_pattern_law(pairs) -> tuple[np.ndarray, np.ndarray]:
     the Walsh expansion p(s) = 2^-k (1 + sum_{i<j} s_i s_j rho_ij +
     s_1 s_2 s_3 s_4 M4): the odd moments vanish under lam -> -lam, and
     rho_ij = 1 - 2 theta_ij/pi.  The four-fold moment M4 (k = 4 only) comes
-    from one cell of known area.  Take a null vector c of [v_1 .. v_4] and
-    j = argmax |c_j|, and set s_i = sign(c_i) for i != j and s_j = -sign(c_j).
-    Inside the other three hemispheres s_i v_i . lam > 0,
-    c_j v_j . lam = -sum_{i != j} |c_i| s_i v_i . lam < 0, so the fourth
-    constraint is implied and the cell is their triangle, of probability
-    (2 pi - the sum of the angles between the s_i v_i)/(4 pi).  Measure-zero
-    ties do not matter.  Returns p, one entry per pattern (bit i of the
-    index set when s_i = -1), and the integer matrix of each pattern's pair
-    products -s_x s_y, one column per pair.
+    from a cell known to be empty.  Take a null vector c of [v_1 .. v_4], so
+    sum_i c_i v_i = 0, and s*_i = sign(c_i), with +1 where c_i = 0.  Where
+    every s*_i v_i . lam > 0, each term c_i v_i . lam is >= 0 and one is > 0,
+    yet the terms sum to 0; so that cell is empty, 1 + W(s*) + prod(s*) M4 = 0
+    with W the pair terms, and M4 = -prod(s*) (1 + W(s*)).  This holds at any
+    rank, coplanar vectors included, and leaves p(s*) = p(-s*) exactly 0.
+    Measure-zero ties do not matter.  Returns p, one entry per pattern (bit i
+    of the index set when s_i = -1), and the integer matrix of each pattern's
+    pair products -s_x s_y, one column per pair.
     """
     vectors = list(dict.fromkeys(v for pair in pairs for v in pair))
     k = len(vectors)
@@ -201,13 +201,8 @@ def _sign_pattern_law(pairs) -> tuple[np.ndarray, np.ndarray]:
     walsh = 1.0 + (np.einsum("si,ij,sj->s", signs, rho, signs) - k) / 2.0
     if k == 4:
         c = np.linalg.svd(v.T)[2][-1]
-        j = int(np.argmax(np.abs(c)))
-        cell = np.where(c >= 0.0, 1, -1)
-        cell[j] = -cell[j]
-        theta = _angles(cell[:, None] * v)
-        p_cell = (2.0 * math.pi - (theta.sum() - 2.0 * theta[j].sum()) / 2.0) / (4.0 * math.pi)
-        m4 = cell.prod() * (16.0 * p_cell - walsh[(1 - cell) // 2 @ (1 << np.arange(4))])
-        walsh += signs.prod(axis=1) * m4
+        empty = int((c < 0.0) @ (1 << np.arange(4)))
+        walsh -= signs.prod(axis=1) * (signs[empty].prod() * walsh[empty])
     x, y = ([vectors.index(pair[side]) for pair in pairs] for side in (0, 1))
     return np.maximum(walsh / 2 ** k, 0.0), -signs[:, x] * signs[:, y]
 

@@ -24,6 +24,7 @@ from belllab import (
 )
 from belllab.agr import mean_probabilities
 from belllab.algebra import ENTANGLEMENT_TOL, _first_nonzero_phase
+from belllab.lhv import _angles
 from belllab.regions import VIOLATION_THRESHOLD
 
 
@@ -287,6 +288,41 @@ class SampledBellSign:
     response_b = BellSignModel.response_b
 
 
+# ---------------------------------------------- triangle-cell sign-pattern law
+#
+# The construction lhv._sign_pattern_law used for the four-fold moment before
+# it read it off an empty cell: the area of a spherical-triangle cell.  Kept as
+# the exact oracle of the law at four distinct vectors.
+
+
+def triangle_cell_law(pairs) -> np.ndarray:
+    """Probabilities of BellSignModel's sign patterns, with M4 from a triangle cell's area.
+
+    Take a null vector c of [v_1 .. v_4] and j = argmax |c_j|, and set
+    s_i = sign(c_i) for i != j and s_j = -sign(c_j).  Inside the other three
+    hemispheres s_i v_i . lam > 0, c_j v_j . lam = -sum_{i != j} |c_i| s_i v_i . lam < 0,
+    so the fourth constraint is implied and the cell is their triangle, of
+    probability (2 pi - the sum of the angles between the s_i v_i)/(4 pi).
+    Patterns are indexed as in lhv._sign_pattern_law.
+    """
+    vectors = list(dict.fromkeys(v for pair in pairs for v in pair))
+    k = len(vectors)
+    v = np.array([u.as_array() for u in vectors])
+    signs = 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
+    rho = 1.0 - 2.0 * _angles(v) / math.pi
+    walsh = 1.0 + (np.einsum("si,ij,sj->s", signs, rho, signs) - k) / 2.0
+    if k == 4:
+        c = np.linalg.svd(v.T)[2][-1]
+        j = int(np.argmax(np.abs(c)))
+        cell = np.where(c >= 0.0, 1, -1)
+        cell[j] = -cell[j]
+        theta = _angles(cell[:, None] * v)
+        p_cell = (2.0 * math.pi - (theta.sum() - 2.0 * theta[j].sum()) / 2.0) / (4.0 * math.pi)
+        m4 = cell.prod() * (16.0 * p_cell - walsh[(1 - cell) // 2 @ (1 << np.arange(4))])
+        walsh += signs.prod(axis=1) * m4
+    return np.maximum(walsh / 2 ** k, 0.0)
+
+
 # ------------------------------------------------------- reference grid writers
 #
 # The writers regions.write_grid_csv / write_grid_json replaced: a csv.writer
@@ -304,9 +340,9 @@ def reference_grid_csv(grid, path) -> None:
         )
         writer = csv.writer(fh)
         writer.writerow(["angle1", "angle2", "bell_lhs", "violated"])
-        for i, t1 in enumerate(grid.axis1):
-            for j, t2 in enumerate(grid.axis2):
-                v = grid.values[i, j]
+        axis2 = grid.axis2.tolist()
+        for t1, row in zip(grid.axis1.tolist(), grid.values.tolist()):
+            for t2, v in zip(axis2, row):
                 writer.writerow(
                     [f"{t1:.12g}", f"{t2:.12g}", f"{v:.12g}", int(v > VIOLATION_THRESHOLD)]
                 )

@@ -23,6 +23,7 @@ from belllab import (
     max_violation,
 )
 from belllab.chsh import MeasurementSettings, born_probabilities
+from belllab.regions import scan_region
 from helpers import (
     edge_unit_vectors,
     kron_probabilities,
@@ -425,3 +426,23 @@ class TestNonFiniteCoefficients:
     def test_nan_rejected(self, call, c1, c2):
         with pytest.raises(ValueError, match="not normalized"):
             call(c1, c2)
+
+
+class TestNonRealCoefficients:
+    # 1j and sqrt(2) pass the sum c1^2 + c2^2 = 1: scan_region used to return a complex grid.
+    @pytest.mark.parametrize("c1, c2", [(1j, math.sqrt(2.0)), (math.sqrt(2.0), 1j),
+                                        (np.complex128(INV_SQRT2), INV_SQRT2)])
+    @pytest.mark.parametrize("call", [
+        max_violation,
+        gisin_settings,
+        canonical_state,
+        lambda c1, c2: correlation_closed(c1, c2, Z, Z),
+        lambda c1, c2: scan_region("xy", c1, c2, 16),
+    ], ids=["max_violation", "gisin_settings", "canonical_state", "correlation_closed", "scan_region"])
+    def test_complex_rejected(self, call, c1, c2):
+        with pytest.raises(TypeError, match="must be real"):
+            call(c1, c2)
+
+    @pytest.mark.parametrize("c1, c2", [(np.float64(0.6), 0.8), (np.float32(1.0), 0.0), (0, 1), (np.int64(1), 0)])
+    def test_real_numpy_and_integer_scalars_accepted(self, c1, c2):
+        assert correlation_closed(c1, c2, Z, Z) == -1.0

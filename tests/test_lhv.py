@@ -26,6 +26,7 @@ from helpers import (
     random_settings,
     random_unit_vector,
     reference_sample_sphere,
+    triangle_cell_law,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -391,8 +392,23 @@ PAIR_SETS = {
 COPLANAR = ("gisin", "gisin-0.6", "agr", "coplanar")
 
 
+def random_quadruple_pairs(seed, count, coplanar):
+    """Pairs of ``count`` seeded quadruples, drawn on the sphere or on its xz great circle."""
+    rng = np.random.default_rng(seed)
+    if coplanar:
+        return [quadruple_pairs(*xz_vectors(*rng.uniform(0.0, 360.0, 4))) for _ in range(count)]
+    return [random_settings(rng).pairs() for _ in range(count)]
+
+
+def cofactor_null_vector(vectors):
+    """c with sum_i c_i v_i = 0 for four vectors: c_i = (-1)^i det of the other three."""
+    v = np.array([u.as_array() for u in vectors])
+    return np.array([1, -1, 1, -1]) * np.linalg.det(np.array([np.delete(v, i, axis=0) for i in range(4)]))
+
+
 class TestSignPatternLaw:
-    """The exact law of BellSignModel's sign patterns against the sampling route and arc lengths."""
+    """The exact law of BellSignModel's sign patterns against the sampling route, arc lengths
+    and the triangle-cell construction."""
 
     @pytest.mark.parametrize("name", sorted(PAIR_SETS))
     def test_probabilities_form_a_distribution(self, name):
@@ -434,6 +450,29 @@ class TestSignPatternLaw:
         for eps in NEAR_COPLANAR_EPS:
             p, _ = lhv._sign_pattern_law(PAIR_SETS[f"near-coplanar-{eps:g}"])
             assert np.abs(p - flat).max() <= eps
+
+    @pytest.mark.parametrize("name", sorted(PAIR_SETS))
+    def test_equals_the_triangle_cell_oracle(self, name):
+        np.testing.assert_allclose(lhv._sign_pattern_law(PAIR_SETS[name])[0], triangle_cell_law(PAIR_SETS[name]),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed, count, coplanar", [(55, 3000, False), (56, 1000, True)])
+    def test_equals_the_triangle_cell_oracle_on_random_quadruples(self, seed, count, coplanar):
+        worst = max(np.abs(lhv._sign_pattern_law(pairs)[0] - triangle_cell_law(pairs)).max()
+                    for pairs in random_quadruple_pairs(seed, count, coplanar))
+        assert worst <= 1e-15
+
+    def test_empty_patterns_are_exactly_zero_at_rank_three(self):
+        # With sum_i c_i v_i = 0, no lambda has sign(v_i . lambda) = sign(c_i)
+        # at every i, nor the opposite signs; both patterns must read exactly 0.
+        # No cofactor near 0: rank 3, and sign(c) is the same from any solver.
+        quadruples = [PAIR_SETS["general"], PAIR_SETS["orthogonal"]] + random_quadruple_pairs(57, 3000, False)
+        for pairs in quadruples:
+            c = cofactor_null_vector(distinct_vectors(pairs))
+            assert np.abs(c).min() > 1e-9
+            empty = int((c < 0.0) @ (1 << np.arange(4)))
+            p, _ = lhv._sign_pattern_law(pairs)
+            assert p[empty] == 0.0 and p[15 ^ empty] == 0.0
 
     def test_pair_products_are_those_of_the_responses(self):
         pairs = PAIR_SETS["general"]
