@@ -10,11 +10,12 @@ import math
 import pathlib
 
 from belllab import Plane, canonical_coefficients, scan_region, write_grid_csv
+from belllab.regions import MAX_GRID_N
 
 
 def band_fraction(conc: float) -> float:
-    edge = 1.0 / (conc * math.sqrt(2.0))
-    return 0.0 if edge >= 1.0 else math.acos(edge) / math.pi
+    scaled = conc * math.sqrt(2.0)  # no band for C*sqrt(2) <= 1, the separable C = 0 included
+    return 0.0 if scaled <= 1.0 else math.acos(1.0 / scaled) / math.pi
 
 
 def main():
@@ -25,11 +26,18 @@ def main():
         "--concurrences", type=float, nargs="+", default=[1.0, 0.8, 8.0 / 11.0, 0.6]
     )
     args = parser.parse_args()
+    # Checked before any file is written, and reported like belllab's usage errors (exit 2).
+    try:
+        coefficients = [canonical_coefficients(conc) for conc in args.concurrences]
+    except ValueError as exc:
+        parser.error(str(exc))
+    if not 2 <= args.grid <= MAX_GRID_N:
+        parser.error(f"--grid must be in [2, {MAX_GRID_N}], got {args.grid}")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'C':>8} {'fraction':>10} {'analytic':>10}  file")
-    for conc in args.concurrences:
-        grid = scan_region(Plane.XY, *canonical_coefficients(conc), args.grid)
+    for conc, (c1, c2) in zip(args.concurrences, coefficients):
+        grid = scan_region(Plane.XY, c1, c2, args.grid)
         path = args.out_dir / f"xy_C{conc:.4f}_grid{args.grid}.csv"
         write_grid_csv(grid, path)
         print(f"{conc:8.4f} {grid.violating_fraction:10.6f} {band_fraction(conc):10.6f}  {path}")

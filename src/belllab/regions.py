@@ -7,6 +7,12 @@ grid cell, each correlation being a.T.b over the canonical state's tensor
 T = diag(2*c1*c2, 2*c1*c2, -1) (chsh.correlation_closed on component arrays),
 and marks strict violations (> 2).
 
+The scan computes the column orientations once and fills one preallocated
+grid in row blocks of about _BLOCK_CELLS cells, each block evaluated and
+counted before the next, so its memory is the grid's 8 B per cell plus one
+block of temporaries.  Every step is elementwise, so the values do not depend
+on the block shape.
+
 The CSV and JSON writers stream the grid in row blocks and format each
 distinct value once per export, so their memory is one row block plus one
 string per distinct value.  The distinct values of an n x n cell-centre grid
@@ -27,17 +33,19 @@ from .algebra import check_normalized
 from .chsh import MeasurementSettings, chsh_combination, correlation_closed
 
 VIOLATION_THRESHOLD = 2.0
-# Largest grid_n scan_region accepts.  ``belllab scan`` at this size peaks near
-# 415 MB resident, all of it scan_region's (~25 B per cell).  The exports hold
-# one row block plus one string per distinct value (see _cell_rows).
+# Largest grid_n scan_region accepts.  ``belllab scan`` at this size peaks at
+# 162 MB resident in either format (median of 7 runs): the 128 MB grid, one row
+# block and the interpreter with numpy.  The exports hold one row block plus one
+# string per distinct value (see _cell_rows).
 MAX_GRID_N = 4096
-# The writers deduplicate row blocks of about _BLOCK_CELLS cells.  Their cache
-# of formatted values (about 150 B each) is dropped once it holds more than
-# _CACHE_LIMIT: scan grids stay under it (at most 76k distinct values measured
-# at grid 4096), while an all-distinct grid would otherwise cache every cell.
+# scan_region evaluates, and the writers deduplicate, row blocks of about
+# _BLOCK_CELLS cells (see _row_blocks).  The writers' cache of formatted values
+# (about 150 B each) is dropped once it holds more than _CACHE_LIMIT: scan grids
+# stay under it (at most 76k distinct values measured at grid 4096), while an
+# all-distinct grid would otherwise cache every cell.
 _BLOCK_CELLS = 1 << 13
 _CACHE_LIMIT = 1 << 17
-# An orientation whose components may be numpy arrays, one entry per grid cell.
+# An orientation whose components may be numpy arrays, one entry per grid row or column.
 _Vector = namedtuple("_Vector", "x y z")
 
 
@@ -49,26 +57,19 @@ class Plane(enum.Enum):
     YZ = "yz"
 
 
-def _components(plane: Plane, t1, t2):
-    """Orientations (a, b, a', b') of the given plane as _Vector triples.
+def _axis_vectors(plane: Plane, t):
+    """Orientation v(t) and its +pi/2 rotation v'(t) in the given plane, as _Vector triples.
 
-    Works elementwise on broadcast numpy arrays.  In the xz and yz planes the
-    angles are polar angles and the primed vectors are rotated by +pi/2; in
-    the xy plane they are azimuths with the same offset.
+    Works elementwise on numpy arrays.  In the xz and yz planes t is a polar
+    angle from z; in the xy plane it is an azimuth from x.
     """
-    c1, s1 = np.cos(t1), np.sin(t1)
-    c2, s2 = np.cos(t2), np.sin(t2)
-    zero1, zero2 = np.zeros_like(c1), np.zeros_like(c2)
+    c, s = np.cos(t), np.sin(t)
+    zero = np.zeros_like(c)
     if plane is Plane.XZ:
-        a, b = (s1, zero1, c1), (s2, zero2, c2)
-        ap, bp = (c1, zero1, -s1), (c2, zero2, -s2)
-    elif plane is Plane.XY:
-        a, b = (c1, s1, zero1), (c2, s2, zero2)
-        ap, bp = (-s1, c1, zero1), (-s2, c2, zero2)
-    else:
-        a, b = (zero1, s1, c1), (zero2, s2, c2)
-        ap, bp = (zero1, c1, -s1), (zero2, c2, -s2)
-    return tuple(_Vector(*v) for v in (a, b, ap, bp))
+        return _Vector(s, zero, c), _Vector(c, zero, -s)
+    if plane is Plane.XY:
+        return _Vector(c, s, zero), _Vector(-s, c, zero)
+    return _Vector(zero, s, c), _Vector(zero, c, -s)
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,15 @@ def scan_region(plane: Plane | str, c1: float, c2: float, grid_n: int) -> Violat
     if not (2 <= grid_n <= MAX_GRID_N):
         raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}]")
     centers = (np.arange(grid_n) + 0.5) * (2.0 * math.pi / grid_n)
-    s = MeasurementSettings(*_components(plane, centers[:, None], centers[None, :]))
-    values = chsh_combination((correlation_closed(c1, c2, u, v) for u, v in s.pairs()), "bell")
-    fraction = float(np.count_nonzero(values > VIOLATION_THRESHOLD)) / values.size
+    values = np.empty((grid_n, grid_n))
+    violating = 0
+    b, b_prime = _axis_vectors(plane, centers[None, :])
+    for rows in _row_blocks(values.shape):
+        a, a_prime = _axis_vectors(plane, centers[rows, None])
+        s = MeasurementSettings(a, b, a_prime, b_prime)
+        block = values[rows]
+        block[...] = chsh_combination((correlation_closed(c1, c2, u, v) for u, v in s.pairs()), "bell")
+        violating += np.count_nonzero(block > VIOLATION_THRESHOLD)
     return ViolationGrid(
         plane=plane,
         c1=c1,
@@ -111,8 +118,15 @@ def scan_region(plane: Plane | str, c1: float, c2: float, grid_n: int) -> Violat
         axis1=centers,
         axis2=centers.copy(),
         values=values,
-        violating_fraction=fraction,
+        violating_fraction=float(violating) / values.size,
     )
+
+
+def _row_blocks(shape):
+    """Slices of whole rows, about _BLOCK_CELLS cells each, covering a 2-D ``shape``."""
+    n_rows, n_cols = shape
+    rows_per_block = max(1, _BLOCK_CELLS // max(1, n_cols))
+    return (slice(start, start + rows_per_block) for start in range(0, n_rows, rows_per_block))
 
 
 def _cell_rows(values: np.ndarray, fmt):
@@ -124,10 +138,9 @@ def _cell_rows(values: np.ndarray, fmt):
     float: -0.0 and 0.0 format differently and NaN equals nothing.
     """
     values = np.asarray(values, dtype=np.float64)
-    rows_per_block = max(1, _BLOCK_CELLS // max(1, values.shape[1]))
     cache: dict[int, str] = {}
-    for start in range(0, len(values), rows_per_block):
-        block = np.ascontiguousarray(values[start:start + rows_per_block])
+    for rows in _row_blocks(values.shape):
+        block = np.ascontiguousarray(values[rows])
         keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
         if len(cache) > _CACHE_LIMIT:
             cache.clear()

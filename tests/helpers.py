@@ -19,13 +19,15 @@ from belllab import (
     SchmidtForm,
     TwoQubitState,
     UnitVector3,
+    chsh_combination,
+    correlation_closed,
     correlation_tensor,
     pauli_dot,
 )
 from belllab.agr import mean_probabilities
 from belllab.algebra import ENTANGLEMENT_TOL, _first_nonzero_phase
 from belllab.lhv import _angles
-from belllab.regions import VIOLATION_THRESHOLD
+from belllab.regions import VIOLATION_THRESHOLD, _Vector
 
 
 def random_unit_vector(rng: np.random.Generator) -> UnitVector3:
@@ -363,6 +365,38 @@ def reference_grid_json(grid, path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# ------------------------------------------------------- whole-grid scan
+#
+# regions.scan_region before it was evaluated in row blocks: all four
+# orientations of every cell from one call, then every grid-sized correlation
+# array at once.  Kept as the bit-for-bit oracle of the blocked scan.
+
+
+def reference_components(plane: Plane, t1, t2):
+    """Orientations (a, b, a', b') of the given plane as _Vector triples, elementwise."""
+    c1, s1 = np.cos(t1), np.sin(t1)
+    c2, s2 = np.cos(t2), np.sin(t2)
+    zero1, zero2 = np.zeros_like(c1), np.zeros_like(c2)
+    if plane is Plane.XZ:
+        a, b = (s1, zero1, c1), (s2, zero2, c2)
+        ap, bp = (c1, zero1, -s1), (c2, zero2, -s2)
+    elif plane is Plane.XY:
+        a, b = (c1, s1, zero1), (c2, s2, zero2)
+        ap, bp = (-s1, c1, zero1), (-s2, c2, zero2)
+    else:
+        a, b = (zero1, s1, c1), (zero2, s2, c2)
+        ap, bp = (zero1, c1, -s1), (zero2, c2, -s2)
+    return tuple(_Vector(*v) for v in (a, b, ap, bp))
+
+
+def reference_scan_values(plane: Plane, c1: float, c2: float, n: int) -> tuple[np.ndarray, float]:
+    """Bell values on the n x n cell-centre grid and their violating fraction, in one pass."""
+    centers = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    s = MeasurementSettings(*reference_components(plane, centers[:, None], centers[None, :]))
+    values = chsh_combination((correlation_closed(c1, c2, u, v) for u, v in s.pairs()), "bell")
+    return values, float(np.count_nonzero(values > VIOLATION_THRESHOLD)) / values.size
 
 
 # ------------------------------------------------------- coplanar scenarios

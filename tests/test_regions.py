@@ -21,7 +21,13 @@ from belllab import (
 )
 from belllab import regions
 from belllab.regions import MAX_GRID_N
-from helpers import reference_grid_csv, reference_grid_json, scenario_closed_form, scenario_settings
+from helpers import (
+    reference_grid_csv,
+    reference_grid_json,
+    reference_scan_values,
+    scenario_closed_form,
+    scenario_settings,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -220,6 +226,43 @@ class TestScanRegion:
         assert np.array_equal(grid.values, scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, 16).values)
 
 
+SCAN_CASES = [(plane, conc, sign) for plane in Plane
+              for conc in (1.0, 0.9, 8.0 / 11.0, 0.6) for sign in (-1, 1)]
+
+
+class TestBlockedScan:
+    # scan_region fills its grid in row blocks; every cell must carry the
+    # whole-grid evaluation's bits, signed zeros included.
+    @staticmethod
+    def assert_matches_reference(plane, conc, sign, grid_n):
+        c1, c2 = canonical_coefficients(conc, sign)
+        grid = scan_region(plane, c1, c2, grid_n)
+        values, fraction = reference_scan_values(plane, c1, c2, grid_n)
+        assert grid.values.shape == (grid_n, grid_n)
+        assert np.array_equal(grid.values.view(np.uint64), values.view(np.uint64))
+        assert grid.violating_fraction == fraction
+
+    # One block covers grids 2 and 17; 1025 has 7 rows a block, the last one 3.
+    @pytest.mark.parametrize("grid_n", [2, 17, 1025])
+    @pytest.mark.parametrize("plane, conc, sign", SCAN_CASES)
+    def test_bit_identical_to_whole_grid(self, plane, conc, sign, grid_n):
+        self.assert_matches_reference(plane, conc, sign, grid_n)
+
+    # 2 rows a block and one left over; about 0.6 s and 200 MB a case for the oracle.
+    @pytest.mark.parametrize("plane", list(Plane))
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_bit_identical_at_two_rows_per_block(self, plane, sign):
+        assert regions._BLOCK_CELLS // 2731 == 2
+        self.assert_matches_reference(plane, 8.0 / 11.0, sign, 2731)
+
+    @pytest.mark.parametrize("block_cells", [1, 34, 100])
+    @pytest.mark.parametrize("plane, conc, sign", SCAN_CASES)
+    def test_bit_identical_for_any_block_shape(self, monkeypatch, plane, conc, sign, block_cells):
+        # At grid 17: 1, 2 and 5 rows a block, the last block shorter for 2 and 5.
+        monkeypatch.setattr(regions, "_BLOCK_CELLS", block_cells)
+        self.assert_matches_reference(plane, conc, sign, 17)
+
+
 class TestGridExport:
     def test_csv_roundtrip(self, tmp_path):
         grid = scan_region(Plane.XY, INV_SQRT2, INV_SQRT2, 16)
@@ -295,6 +338,16 @@ class TestStreamedExport:
         finally:
             tracemalloc.stop()
         assert peak < grid.values.nbytes / 4
+
+    def test_scan_memory_is_the_grid_plus_one_block(self):
+        # Evaluating the whole grid at once peaked at about 3x values.nbytes.
+        tracemalloc.start()
+        try:
+            grid = scan_region(Plane.XZ, INV_SQRT2, -INV_SQRT2, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * grid.values.nbytes
 
 
 def adversarial_grid(n_rows, n_cols, first_zero):

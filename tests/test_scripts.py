@@ -1,4 +1,5 @@
 """Smoke tests: each experiment script runs at a small size and exits 0, the
+scan script takes C = 0 and rejects out-of-range inputs with exit 2, the
 per-call harness times every function in this tree, and the README's Python
 API sketch runs as written."""
 import importlib.util
@@ -10,6 +11,8 @@ import sys
 
 import pytest
 
+from belllab.regions import MAX_GRID_N
+
 ROOT = pathlib.Path(__file__).parents[1]
 
 
@@ -20,12 +23,39 @@ ROOT = pathlib.Path(__file__).parents[1]
     ("bench_exact_path.py", ["--help"]),
 ])
 def test_script_runs(tmp_path, script, args):
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, str(ROOT / "scripts" / script), *(a.format(tmp=tmp_path) for a in args)]
-    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    done = run_script(tmp_path, script, *(a.format(tmp=tmp_path) for a in args))
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def run_script(tmp_path, script, *args):
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, str(ROOT / "scripts" / script), *args]
+    return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_scan_script_separable_point(tmp_path):
+    # C = 0 used to write its CSV and then die dividing by zero in band_fraction.
+    done = run_script(tmp_path, "scan_violation_regions.py", "--grid", "8", "--concurrences", "0")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1].split()[:3] == ["0.0000", "0.000000", "0.000000"]
+    assert (tmp_path / "region_scans" / "xy_C0.0000_grid8.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--concurrences", "1.5"],
+    ["--concurrences", "0.8", "-0.1"],
+    ["--concurrences", "nan"],
+    ["--grid", "1"],
+    ["--grid", str(MAX_GRID_N + 1)],
+])
+def test_scan_script_rejects_out_of_range(tmp_path, args):
+    # These used to end in a ValueError traceback, after writing the earlier concurrences.
+    done = run_script(tmp_path, "scan_violation_regions.py", "--grid", "8", *args)
+    assert done.returncode == 2
+    assert "error:" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "region_scans").exists()
 
 
 def test_readme_api_sketch_runs():
