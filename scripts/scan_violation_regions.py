@@ -33,12 +33,15 @@ def main():
         parser.error(str(exc))
     if not 2 <= args.grid <= MAX_GRID_N:
         parser.error(f"--grid must be in [2, {MAX_GRID_N}], got {args.grid}")
+    paths = [args.out_dir / f"xy_C{conc:.4f}_grid{args.grid}.csv" for conc in args.concurrences]
+    shared = sorted({str(path) for path in paths if paths.count(path) > 1})
+    if shared:
+        parser.error(f"concurrences that agree to 4 decimals would share a file: {', '.join(shared)}")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'C':>8} {'fraction':>10} {'analytic':>10}  file")
-    for conc, (c1, c2) in zip(args.concurrences, coefficients):
+    for conc, (c1, c2), path in zip(args.concurrences, coefficients, paths):
         grid = scan_region(Plane.XY, c1, c2, args.grid)
-        path = args.out_dir / f"xy_C{conc:.4f}_grid{args.grid}.csv"
         write_grid_csv(grid, path)
         print(f"{conc:8.4f} {grid.violating_fraction:10.6f} {band_fraction(conc):10.6f}  {path}")
 

@@ -37,7 +37,7 @@ from .chsh import (
     max_violation,
 )
 from .agr import ExperimentConfig, misalignment_for_damping, run_experiment
-from .lhv import BUILTIN_MODELS, chsh_lhv, estimate_correlation
+from .lhv import BUILTIN_MODELS, ChshEstimate, chsh_lhv, estimate_correlation
 from .regions import MAX_GRID_N, Plane, scan_region, write_grid_csv, write_grid_json
 
 VERSION_TAG = f"belllab {__version__}"
@@ -76,7 +76,10 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key}")
+            values[key] = val.strip()
     return values
 
 
@@ -117,20 +120,17 @@ def _angles_both_units(rad: float) -> dict:
     return {"deg": math.degrees(rad), "rad": rad}
 
 
-def _vector_dict(v: UnitVector3) -> dict:
-    theta = math.acos(min(1.0, max(-1.0, v.z)))
-    phi = math.atan2(v.y, v.x) % (2.0 * math.pi)
-    return {
-        "x": v.x,
-        "y": v.y,
-        "z": v.z,
-        "theta": _angles_both_units(theta),
-        "phi": _angles_both_units(phi),
-    }
-
-
-def _settings_dict(s: MeasurementSettings) -> dict:
-    return {name: _vector_dict(getattr(s, name)) for name in SETTING_NAMES}
+def _settings_report(s: MeasurementSettings) -> tuple[dict, list[str]]:
+    """Each analyzer's components and polar angles (theta, phi) in both units, and its text line."""
+    vectors, lines = {}, []
+    for name in SETTING_NAMES:
+        v = getattr(s, name)
+        theta, phi = math.acos(min(1.0, max(-1.0, v.z))), math.atan2(v.y, v.x) % (2.0 * math.pi)
+        vectors[name] = {"x": v.x, "y": v.y, "z": v.z,
+                         "theta": _angles_both_units(theta), "phi": _angles_both_units(phi)}
+        lines.append(f"  {name:8s} ({v.x:+.6f}, {v.y:+.6f}, {v.z:+.6f})"
+                     f"  theta={math.degrees(theta):.4f} deg ({theta:.6f} rad)")
+    return vectors, lines
 
 
 def _settings(args: argparse.Namespace, coefficients, flag: str) -> MeasurementSettings:
@@ -155,27 +155,38 @@ def _xz_settings(a: float, b: float, a_prime: float, b_prime: float) -> Measurem
     return MeasurementSettings(*(make_unit_vector(t, 0.0) for t in (a, b, a_prime, b_prime)))
 
 
-def _estimates(estimates) -> list[dict]:
-    return [{"pair": label, "value": e.value, "stderr": e.std_error}
-            for label, e in zip(PAIR_LABELS, estimates)]
+def _estimate_fields(estimates, s: float, stderr: float) -> list[tuple]:
+    """The E(pair) estimates and S of a Monte Carlo report, each with its standard error."""
+    pairs = list(zip(PAIR_LABELS, estimates))
+    return [
+        ("E", [{"pair": label, "value": e.value, "stderr": e.std_error} for label, e in pairs],
+         [f"E({label}) = {e.value:+.6f} +- {e.std_error:.6f}" for label, e in pairs]),
+        ("S", s, [f"S = {s:.6f} +- {stderr:.6f}"]),
+        ("stderr", stderr, []),
+    ]
 
 
-def _estimate_lines(payload: dict) -> list[str]:
-    """The E(pair) = v +- se lines and the S line of a Monte Carlo report."""
-    lines = [f"E({e['pair']}) = {e['value']:+.6f} +- {e['stderr']:.6f}" for e in payload["E"]]
-    return lines + [f"S = {payload['S']:.6f} +- {payload['stderr']:.6f}"]
+def _local_bound(model: str, est: ChshEstimate) -> tuple[bool, str]:
+    """Whether an LHV estimate of S keeps the model's local bound, and that rule as text."""
+    sigmas = LOCAL_BOUND_SIGMAS[model]
+    return est.value <= 2.0 + sigmas * est.std_error, f"within {sigmas:g} sigma" if sigmas else "exactly"
 
 
-def _emit(fmt: str, out: str | None, payload: dict, lines: list[str], rows=()) -> None:
-    """Render a report as text lines, JSON or CSV rows; write it to out, else print it."""
+def _emit(fmt: str, out: str | None, header: str, fields: list[tuple], rows=()) -> None:
+    """Render a report as text, JSON or CSV rows; write it to out, else print it.
+
+    Each field is (key, value, lines): key is its JSON key (None for a text-only
+    line) and lines the text it prints (none for a JSON-only field).
+    """
     if fmt == "json":
+        payload = {"version": VERSION_TAG, **{key: value for key, value, _ in fields if key is not None}}
         text = json.dumps(payload, indent=2, sort_keys=True)
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         text = buf.getvalue().rstrip("\n")
     else:
-        text = "\n".join(lines)
+        text = "\n".join([f"{VERSION_TAG} {header}", *(line for _, _, lines in fields for line in lines)])
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -198,37 +209,21 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     p = {name: correlation_matrix(state, a, b) for name, (a, b) in zip(names, settings.pairs())}
     s_value = chsh_combination(list(p.values()), "bell")
     bound = max_violation(c1, c2)
-    payload = {
-        "version": VERSION_TAG,
-        "c1": c1,
-        "c2": c2,
-        "concurrence": concurrence(schmidt_decompose(state)),
-        "settings_source": "gisin" if args.gisin else "explicit",
-        "settings": _settings_dict(settings),
-        "P": p,
-        "S": s_value,
-        "max_violation": bound,
-        "violated": s_value > 2.0,
-    }
-    lines = [
-        f"{VERSION_TAG} chsh",
-        f"state: c1={c1:.9g} c2={c2:.9g} concurrence={payload['concurrence']:.9g}",
-        f"settings: {payload['settings_source']}",
+    conc = concurrence(schmidt_decompose(state))
+    source = "gisin" if args.gisin else "explicit"
+    violated = s_value > 2.0
+    fields = [
+        ("c1", c1, []),
+        ("c2", c2, []),
+        ("concurrence", conc, [f"state: c1={c1:.9g} c2={c2:.9g} concurrence={conc:.9g}"]),
+        ("settings_source", source, [f"settings: {source}"]),
+        ("settings", *_settings_report(settings)),
+        ("P", p, ["  ".join(f"P({label})={v:.9g}" for label, v in zip(PAIR_LABELS, p.values()))]),
+        ("S", s_value, [f"S = {s_value:.9g}"]),
+        ("max_violation", bound, [f"max_violation = {bound:.9g}"]),
+        ("violated", violated, [f"violated: {str(violated).lower()}"]),
     ]
-    for name in SETTING_NAMES:
-        d = payload["settings"][name]
-        lines.append(
-            f"  {name:8s} ({d['x']:+.6f}, {d['y']:+.6f}, {d['z']:+.6f})"
-            f"  theta={d['theta']['deg']:.4f} deg ({d['theta']['rad']:.6f} rad)"
-        )
-    lines += [
-        f"P(a,b)={p['ab']:.9g}  P(a,b')={p['ab_prime']:.9g}  "
-        f"P(a',b)={p['a_prime_b']:.9g}  P(a',b')={p['a_prime_b_prime']:.9g}",
-        f"S = {s_value:.9g}",
-        f"max_violation = {bound:.9g}",
-        f"violated: {'true' if payload['violated'] else 'false'}",
-    ]
-    _emit(args.format, args.out, payload, lines)
+    _emit(args.format, args.out, "chsh", fields)
     return 0
 
 
@@ -266,26 +261,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_lhv(args: argparse.Namespace) -> int:
     settings = _settings(args, args.gisin_for, "--gisin-for")
     est = chsh_lhv(BUILTIN_MODELS[args.model](), settings, args.samples, args.seed)
-    sigmas = LOCAL_BOUND_SIGMAS[args.model]
-    within = est.value <= 2.0 + sigmas * est.std_error
-    rule = f"within {sigmas:g} sigma" if sigmas else "exactly"
-    payload = {
-        "version": VERSION_TAG,
-        "model": args.model,
-        "samples": args.samples,
-        "seed": args.seed,
-        "settings": _settings_dict(settings),
-        "E": _estimates(est.correlations()),
-        "S": est.value,
-        "stderr": est.std_error,
-        "within_local_bound": within,
-    }
-    lines = [
-        f"{VERSION_TAG} lhv model={args.model} samples={args.samples} seed={args.seed}",
-        *_estimate_lines(payload),
-        f"local bound (S <= 2 {rule}): {'pass' if within else 'FAIL'}",
+    within, rule = _local_bound(args.model, est)
+    fields = [
+        ("model", args.model, []),
+        ("samples", args.samples, []),
+        ("seed", args.seed, []),
+        ("settings", _settings_report(settings)[0], []),
+        *_estimate_fields(est.correlations(), est.value, est.std_error),
+        ("within_local_bound", within, [f"local bound (S <= 2 {rule}): {'pass' if within else 'FAIL'}"]),
     ]
-    _emit(args.format, args.out, payload, lines)
+    _emit(args.format, args.out, f"lhv model={args.model} samples={args.samples} seed={args.seed}", fields)
     return 0 if within else 1
 
 
@@ -316,33 +301,26 @@ def cmd_agr(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     report = run_experiment(cfg)
-    payload = {
-        "version": VERSION_TAG,
-        "seed": cfg.seed,
-        "n_pairs": cfg.n_pairs,
-        "efficiency": cfg.efficiency,
-        "misalignment_sigma": cfg.misalignment_sigma,
-        "state": {"c1": c1, "c2": c2},
-        "settings": _settings_dict(settings),
-        "counts": [{"pair": label, **vars(c)} for label, c in zip(PAIR_LABELS, report.counts)],
-        "E": _estimates(report.correlations),
-        "S": report.s.s_value,
-        "stderr": report.s.std_error,
-    }
-    lines = [
-        f"{VERSION_TAG} agr pairs={cfg.n_pairs} efficiency={cfg.efficiency:.9g} "
-        f"misalignment_sigma={cfg.misalignment_sigma:.9g} seed={cfg.seed}",
-        *_estimate_lines(payload),
-        f"|S| = {abs(report.s.s_value):.6f}",
+    counts = [{"pair": label, **vars(c)} for label, c in zip(PAIR_LABELS, report.counts)]
+    fields = [
+        ("seed", cfg.seed, []),
+        ("n_pairs", cfg.n_pairs, []),
+        ("efficiency", cfg.efficiency, []),
+        ("misalignment_sigma", cfg.misalignment_sigma, []),
+        ("state", {"c1": c1, "c2": c2}, []),
+        ("settings", _settings_report(settings)[0], []),
+        ("counts", counts, []),
+        *_estimate_fields(report.correlations, report.s.s_value, report.s.std_error),
+        (None, None, [f"|S| = {abs(report.s.s_value):.6f}"]),
     ]
+    header = (f"agr pairs={cfg.n_pairs} efficiency={cfg.efficiency:.9g} "
+              f"misalignment_sigma={cfg.misalignment_sigma:.9g} seed={cfg.seed}")
     # One CSV row per orientation pair: its coincidence counts and its E estimate.
-    rows = [["pair", "r_pp", "r_pm", "r_mp", "r_mm", "n_pairs", "E", "stderr"]]
-    rows += [[*c.values(), e["value"], e["stderr"]] for c, e in zip(payload["counts"], payload["E"])]
-    if args.format == "text" and args.out:  # the file keeps the JSON report
-        _emit("json", args.out, payload, lines)
-        _emit("text", None, payload, lines)
-    else:
-        _emit(args.format, args.out, payload, lines, rows)
+    rows = [[*counts[0], "E", "stderr"]]
+    rows += [[*c.values(), e.value, e.std_error] for c, e in zip(counts, report.correlations)]
+    if args.format == "text" and args.out:  # the file keeps the JSON report, stdout the text
+        _emit("json", args.out, header, fields)
+    _emit(args.format, None if args.format == "text" else args.out, header, fields, rows)
     return 0
 
 
@@ -376,13 +354,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     rows.append(("closed-vs-matrix", worst < 1e-12, f"(max |diff| = {worst:.3g})"))
 
     settings = gisin_settings(SINGLET_C1, SINGLET_C1)
-    for name, sigmas in LOCAL_BOUND_SIGMAS.items():
+    for name in LOCAL_BOUND_SIGMAS:
         est = chsh_lhv(BUILTIN_MODELS[name](), settings, 200_000, 7)
-        rows.append((
-            f"lhv-bound-{name}",
-            est.value <= 2.0 + sigmas * est.std_error,
-            f"(S = {est.value:.4f} +- {est.std_error:.4f})",
-        ))
+        rows.append((f"lhv-bound-{name}", _local_bound(name, est)[0],
+                     f"(S = {est.value:.4f} +- {est.std_error:.4f})"))
 
     e = estimate_correlation(
         BUILTIN_MODELS["bell-sign"](),
@@ -504,7 +479,10 @@ def main(argv=None) -> int:
             args.subparser.set_defaults(**config_defaults(args.subparser, args.config, args.command))
             args = parser.parse_args(argv)
         if getattr(args, "seed", 0) is None:  # neither flag nor config
-            args.seed = int(os.environ.get("BELLLAB_SEED") or 0)
+            try:
+                args.seed = int(os.environ.get("BELLLAB_SEED") or 0)
+            except ValueError as exc:
+                raise ValueError(f"BELLLAB_SEED: {exc}") from None
         return args.func(args)
     except ValueError as exc:
         print(f"belllab: error: {exc}", file=sys.stderr)

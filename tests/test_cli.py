@@ -261,6 +261,13 @@ class TestLhvCommand:
         assert json.loads(out_env) == json.loads(out_flag)
         assert json.loads(out_env)["seed"] == 77
 
+    def test_seed_env_not_an_integer_exit_2(self, capsys, monkeypatch):
+        # Used to report int()'s message alone, without naming the variable.
+        monkeypatch.setenv("BELLLAB_SEED", "abc")
+        rc, out, err = run_cli(capsys, "lhv", "--samples", "1000", "--gisin-for", "0.7071068", "0.7071068")
+        assert (rc, out) == (2, "")
+        assert "BELLLAB_SEED" in err and "'abc'" in err
+
 
 class TestAgrCommand:
     def test_ideal_run_report(self, capsys, tmp_path):
@@ -392,6 +399,16 @@ class TestConfigFile:
         assert rc == 2
         assert "sampels" in err
         assert out == ""
+
+    @pytest.mark.parametrize("text, key", [("pairs = 10\npairs = 2000\n", "pairs"),
+                                           ("a-prime = 90\na_prime = 80\n", "a_prime")])
+    def test_duplicate_key_exit_2(self, capsys, tmp_path, text, key):
+        # The last value used to win silently.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# lab defaults\n" + text)
+        rc, out, err = run_cli(capsys, "agr", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert f"{cfg}:3: duplicate key {key}" in err
 
     def test_config_format_checked_per_subcommand(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

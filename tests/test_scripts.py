@@ -49,9 +49,11 @@ def test_scan_script_separable_point(tmp_path):
     ["--concurrences", "nan"],
     ["--grid", "1"],
     ["--grid", str(MAX_GRID_N + 1)],
+    ["--concurrences", "0.70711", "0.707105"],
 ])
 def test_scan_script_rejects_out_of_range(tmp_path, args):
-    # These used to end in a ValueError traceback, after writing the earlier concurrences.
+    # These used to end in a ValueError traceback, after writing the earlier concurrences;
+    # two concurrences equal to 4 decimals used to write one file, the second over the first.
     done = run_script(tmp_path, "scan_violation_regions.py", "--grid", "8", *args)
     assert done.returncode == 2
     assert "error:" in done.stderr and "Traceback" not in done.stderr
