@@ -26,12 +26,11 @@ leaves E unbiased under fair sampling; it only widens the error bars).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TwoQubitState, UnitVector3, correlation_tensor
+from .algebra import TwoQubitState, UnitVector3, check_integer, correlation_tensor
 from .chsh import JointProbabilities, MeasurementSettings, born_probabilities, chsh_combination
 from .lhv import _MAX_COUNT, CorrelationEstimate
 
@@ -52,8 +51,12 @@ class CoincidenceCounts:
 
     def __post_init__(self):
         counts = (self.r_pp, self.r_pm, self.r_mp, self.r_mm)
+        for name, value in vars(self).items():
+            check_integer(name, value)
         if any(c < 0 for c in counts):
             raise ValueError(f"negative count in {counts}")
+        if self.n_pairs < 1:
+            raise ValueError(f"n_pairs must be at least 1, got {self.n_pairs}")
         if sum(counts) > self.n_pairs:
             raise ValueError("more coincidences than emitted pairs")
 
@@ -80,9 +83,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_pairs", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+            check_integer(name, getattr(self, name))
         if not (1 <= self.n_pairs <= _MAX_COUNT):
             raise ValueError("n_pairs must be in [1, 2**63 - 1]")
         if not (0.0 < self.efficiency <= 1.0):

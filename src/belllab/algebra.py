@@ -94,6 +94,13 @@ class TwoQubitState:
         return self.amplitudes.reshape(2, 2)
 
 
+def check_integer(name: str, value) -> None:
+    """Raise TypeError unless value is an integer (a bool is not)."""
+    # Exact int first: the ABC check alone is slower, and agr builds counts on every run.
+    if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 def check_normalized(c1: float, c2: float, tol: float = 1e-9) -> float:
     """c1^2 + c2^2 of real c1, c2, raising ValueError unless within tol of 1 (NaN and inf never are)."""
     n2 = c1 * c1 + c2 * c2

@@ -37,7 +37,7 @@ from .chsh import (
     max_violation,
 )
 from .agr import ExperimentConfig, misalignment_for_damping, run_experiment
-from .lhv import BUILTIN_MODELS, ChshEstimate, chsh_lhv, estimate_correlation
+from .lhv import BUILTIN_MODELS, chsh_lhv, estimate_correlation
 from .regions import MAX_GRID_N, Plane, scan_region, write_grid_csv, write_grid_json
 
 VERSION_TAG = f"belllab {__version__}"
@@ -48,9 +48,6 @@ SINGLET_C1 = 1.0 / math.sqrt(2.0)
 # agr's default quadruple, the coplanar angles maximizing |S|.  These stay in
 # degrees under --radians, which applies only to the angles a user gives.
 AGR_ANGLES_DEG = {"a": 0.0, "a_prime": 90.0, "b": 45.0, "b_prime": 135.0}
-# Sigmas of allowance above S = 2 per built-in model: S <= 2 is an identity for
-# bell-sign's +-1 responses; averaged-linear's estimate gets 5 sigma.
-LOCAL_BOUND_SIGMAS = {"bell-sign": 0.0, "averaged-linear": 5.0}
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -93,13 +90,14 @@ def config_defaults(parser: argparse.ArgumentParser, path: str, command: str) ->
     defaults = {}
     for key, text in config.items():
         action = actions[key]
-        if action.nargs == 0:  # store_true
-            defaults[key] = _parse_bool(text)
-            continue
         words = text.split() if action.nargs else [text]
         if action.nargs and len(words) != action.nargs:
             raise ValueError(f"{path}: {key} takes {action.nargs} values")
-        values = [(action.type or str)(w) for w in words]
+        cast = _parse_bool if action.nargs == 0 else action.type or str  # nargs 0: store_true
+        try:
+            values = [cast(w) for w in words]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
         if action.choices is not None and any(v not in action.choices for v in values):
             raise ValueError(f"{path}: {command} {key}s are {', '.join(map(str, action.choices))}")
         defaults[key] = values if action.nargs else values[0]
@@ -164,12 +162,6 @@ def _estimate_fields(estimates, s: float, stderr: float) -> list[tuple]:
         ("S", s, [f"S = {s:.6f} +- {stderr:.6f}"]),
         ("stderr", stderr, []),
     ]
-
-
-def _local_bound(model: str, est: ChshEstimate) -> tuple[bool, str]:
-    """Whether an LHV estimate of S keeps the model's local bound, and that rule as text."""
-    sigmas = LOCAL_BOUND_SIGMAS[model]
-    return est.value <= 2.0 + sigmas * est.std_error, f"within {sigmas:g} sigma" if sigmas else "exactly"
 
 
 def _emit(fmt: str, out: str | None, header: str, fields: list[tuple], rows=()) -> None:
@@ -261,14 +253,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_lhv(args: argparse.Namespace) -> int:
     settings = _settings(args, args.gisin_for, "--gisin-for")
     est = chsh_lhv(BUILTIN_MODELS[args.model](), settings, args.samples, args.seed)
-    within, rule = _local_bound(args.model, est)
+    within = est.value <= 2.0
     fields = [
         ("model", args.model, []),
         ("samples", args.samples, []),
         ("seed", args.seed, []),
         ("settings", _settings_report(settings)[0], []),
         *_estimate_fields(est.correlations(), est.value, est.std_error),
-        ("within_local_bound", within, [f"local bound (S <= 2 {rule}): {'pass' if within else 'FAIL'}"]),
+        ("within_local_bound", within, [f"local bound (S <= 2 exactly): {'pass' if within else 'FAIL'}"]),
     ]
     _emit(args.format, args.out, f"lhv model={args.model} samples={args.samples} seed={args.seed}", fields)
     return 0 if within else 1
@@ -354,9 +346,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     rows.append(("closed-vs-matrix", worst < 1e-12, f"(max |diff| = {worst:.3g})"))
 
     settings = gisin_settings(SINGLET_C1, SINGLET_C1)
-    for name in LOCAL_BOUND_SIGMAS:
-        est = chsh_lhv(BUILTIN_MODELS[name](), settings, 200_000, 7)
-        rows.append((f"lhv-bound-{name}", _local_bound(name, est)[0],
+    for name, model in BUILTIN_MODELS.items():
+        est = chsh_lhv(model(), settings, 200_000, 7)
+        rows.append((f"lhv-bound-{name}", est.value <= 2.0,
                      f"(S = {est.value:.4f} +- {est.std_error:.4f})"))
 
     e = estimate_correlation(

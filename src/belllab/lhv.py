@@ -10,9 +10,11 @@ disc method, which needs no trigonometric call.
 
 Every estimate draws one hidden-variable stream and evaluates all of its
 orientation pairs on the same draws, as Bell's derivation of the CHSH
-inequality assumes one distribution rho(lambda) for all four settings.  Each
-draw's CHSH combination is then at most 2 in modulus, so for +-1 responses
-the estimated S <= 2 holds exactly, not only within statistical error.
+inequality assumes one distribution rho(lambda) for all four settings.  For
+responses bounded by 1, each draw's x = AB - AB' and y = A'B' + A'B have
+|x| + |y| <= 2, so S = (|sum x| + |sum y|)/n <= 2 holds exactly, not only
+within statistical error: in integers for +-1 responses, and up to the
+rounding of each draw's products (about 1e-16) for device-averaged ones.
 
 For ``BellSignModel`` itself no lambda is drawn: the statistics of n draws
 depend only on the counts of the sign patterns of (v . lambda) over the
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import UnitVector3
+from .algebra import UnitVector3, check_integer
 from .chsh import MeasurementSettings, chsh_combination
 
 # Samples are drawn in fixed-size blocks so results depend only on (seed, n).
@@ -36,8 +38,6 @@ from .chsh import MeasurementSettings, chsh_combination
 # 2 MB together, so each numpy pass over them runs in a per-core L2 cache and
 # the peak memory stays at a few blocks.
 _BLOCK = 1 << 14
-# bell1964_check accepts E(b', b') within this of -1, plus 5 standard errors.
-_ANTICORRELATION_TOL = 1e-6
 _MAX_COUNT = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
 
 
@@ -69,7 +69,7 @@ def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class PreconditionError(ValueError):
-    """A statistical precondition of the requested check does not hold."""
+    """A precondition of the requested check does not hold."""
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,7 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     formed from one multinomial draw of the sign-pattern counts, so they stay
     exact at any n.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise TypeError(f"sample count must be an integer, not {type(n).__name__}")
+    check_integer("sample count", n)
     if not 1 <= n <= _MAX_COUNT:
         raise ValueError("sample count must be in [1, 2**63 - 1]")
     rng = np.random.default_rng(seed)
@@ -281,8 +280,8 @@ def chsh_lhv(model, s: MeasurementSettings, n: int, seed) -> ChshEstimate:
     """CHSH value of a local model from one hidden-variable stream shared by all four pairs.
 
     Each of the n draws of lambda from ``seed`` feeds all four orientation
-    pairs, as in Bell's derivation, so S is formed from the exact sums of the
-    pair products and, for +-1 responses, S <= 2 holds exactly.  The standard
+    pairs, as in Bell's derivation, so S is formed from the sums of the pair
+    products and S <= 2 holds exactly for responses bounded by 1.  The standard
     error is the sample deviation of the per-draw combination
     s_x*(AB - AB') + s_y*(A'B' + A'B) over sqrt(n), with s_x and s_y the signs
     inside the two moduli; each correlation estimate keeps n_samples = n.
@@ -304,16 +303,15 @@ def bell1964_check(
 ) -> Bell1964Result:
     """Evaluate |E(a,b) - E(a,b')| against 1 + E(b',b) on one shared hidden-variable stream.
 
-    The reduction assumes perfect anticorrelation at equal settings, so the
-    model must give E(b', b') = -1; it is estimated from the same draws and a
-    PreconditionError is raised when it fails beyond statistical tolerance.
+    The reduction assumes perfect anticorrelation at equal settings: every draw
+    must give A(b')B(b') = -1, else PreconditionError.  Each draw then has
+    |A(a)B(b) - A(a)B(b')| <= 1 + A(b')B(b), so lhs <= rhs holds exactly for +-1 responses.
     """
     pairs = ((b_prime, b_prime), (a, b), (a, b_prime), (b_prime, b))
     sums, moments = _shared_stream_sums(model, pairs, n, seed)
-    anti = _estimate(sums, moments, n, 0)
-    if abs(anti.value + 1.0) > _ANTICORRELATION_TOL + 5.0 * anti.std_error:
+    if sums[0] != -n:
         raise PreconditionError(
-            f"E(b', b') = {anti.value:.6f} != -1: the 1964 reduction does not apply"
+            f"E(b', b') = {float(sums[0]) / n:.6f} != -1: the 1964 reduction does not apply"
         )
     sign = _sign(sums[1] - sums[2])
     return Bell1964Result(

@@ -23,13 +23,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check_normalized
+from .algebra import check_integer, check_normalized
 from .chsh import MeasurementSettings, chsh_combination, correlation_closed
 
 VIOLATION_THRESHOLD = 2.0
@@ -97,8 +96,7 @@ def scan_region(plane: Plane | str, c1: float, c2: float, grid_n: int) -> Violat
     """
     plane = Plane(plane)
     check_normalized(c1, c2)
-    if not isinstance(grid_n, numbers.Integral) or isinstance(grid_n, bool):
-        raise TypeError(f"grid_n must be an integer, not {type(grid_n).__name__}")
+    check_integer("grid_n", grid_n)
     if not (2 <= grid_n <= MAX_GRID_N):
         raise ValueError(f"grid_n must be in [2, {MAX_GRID_N}]")
     centers = (np.arange(grid_n) + 0.5) * (2.0 * math.pi / grid_n)

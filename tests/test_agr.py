@@ -339,6 +339,22 @@ class TestCoincidenceCounts:
         with pytest.raises(ValueError):
             CoincidenceCounts(6, 6, 0, 0, n_pairs=10)
 
+    @pytest.mark.parametrize("counts", [
+        (math.nan, 0, 0, 0, 1), (1.0, 0, 0, 0, 1), (True, 0, 0, 0, 1), (0, 0, 0, 1, 2.0), (0, 0, 0, 0, True),
+    ], ids=["nan", "float", "bool", "float-pairs", "bool-pairs"])
+    def test_rejects_non_integer(self, counts):
+        # A bool count used to give E = 1.0 +- 0.0 silently.
+        with pytest.raises(TypeError):
+            CoincidenceCounts(*counts)
+
+    @pytest.mark.parametrize("n_pairs", [0, -1])
+    def test_rejects_no_pairs(self, n_pairs):
+        with pytest.raises(ValueError):
+            CoincidenceCounts(0, 0, 0, 0, n_pairs=n_pairs)
+
+    def test_accepts_numpy_integers(self):
+        assert CoincidenceCounts(*np.arange(4), n_pairs=np.int64(6)).total() == 6
+
 
 class TestMisalignmentForDamping:
     def test_roundtrip(self):

@@ -22,6 +22,17 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+@pytest.fixture
+def s_just_above_two(monkeypatch):
+    """Make the CLI's chsh_lhv report S = 2 + 1e-9 +- 0.01, far inside 5 sigma of the bound."""
+    real = cli.chsh_lhv
+
+    def just_above_two(model, s, n, seed):
+        return dataclasses.replace(real(model, s, n, seed), value=2.0 + 1e-9, std_error=0.01)
+
+    monkeypatch.setattr(cli, "chsh_lhv", just_above_two)
+
+
 def as_config(options):
     """Config text equivalent to option flags: '--key v [v]' -> 'key = v [v]', '--flag' -> 'flag = true'."""
     entries = []
@@ -226,14 +237,23 @@ class TestLhvCommand:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_local_bound_rule_per_builtin_model(self, capsys):
-        assert set(cli.LOCAL_BOUND_SIGMAS) == set(cli.BUILTIN_MODELS)
+    @pytest.mark.parametrize("model", sorted(cli.BUILTIN_MODELS))
+    def test_local_bound_rule_per_builtin_model(self, capsys, model):
         rc, out, _ = run_cli(
-            capsys, "lhv", "--model", "averaged-linear", "--samples", "20000", "--seed", "1",
+            capsys, "lhv", "--model", model, "--samples", "20000", "--seed", "1",
             "--gisin-for", "0.7071068", "0.7071068",
         )
         assert rc == 0
-        assert "local bound (S <= 2 within 5 sigma): pass" in out
+        assert "local bound (S <= 2 exactly): pass" in out
+
+    @pytest.mark.parametrize("model", sorted(cli.BUILTIN_MODELS))
+    def test_any_s_above_two_fails(self, capsys, s_just_above_two, model):
+        # averaged-linear used to pass up to 2 + 5 sigma.
+        rc, out, _ = run_cli(
+            capsys, "lhv", "--model", model, "--samples", "1000", "--gisin-for", "0.7071068", "0.7071068",
+        )
+        assert rc == 1
+        assert "local bound (S <= 2 exactly): FAIL" in out
 
     def test_averaged_linear_model(self, capsys):
         rc, out, _ = run_cli(
@@ -410,6 +430,19 @@ class TestConfigFile:
         assert (rc, out) == (2, "")
         assert f"{cfg}:3: duplicate key {key}" in err
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("agr", "pairs =\n", "pairs: invalid literal for int() with base 10: ''"),
+        ("agr", "pairs = abc\n", "pairs: invalid literal for int() with base 10: 'abc'"),
+        ("chsh", "c1 = 0.7071068\nc2 = 0.7071068\ngisin = maybe\n", "gisin: not a boolean: 'maybe'"),
+    ], ids=["empty-int", "bad-int", "bad-switch"])
+    def test_bad_value_names_file_and_key(self, capsys, tmp_path, command, text, message):
+        # Used to print the cast's message alone, naming neither the file nor the key.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert err == f"belllab: error: {cfg}: {message}\n"
+
     def test_config_format_checked_per_subcommand(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("c1 = 0.7071068\nc2 = 0.7071068\ngisin = true\nformat = csv\n")
@@ -492,18 +525,12 @@ class TestSelftest:
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
 
-    def test_bell_sign_bound_has_no_sigma_allowance(self, capsys, monkeypatch):
-        # For +-1 responses S <= 2 is an identity; averaged responses keep 5 sigma.
-        real = cli.chsh_lhv
-
-        def just_above_two(model, s, n, seed):
-            return dataclasses.replace(real(model, s, n, seed), value=2.0 + 1e-9, std_error=0.01)
-
-        monkeypatch.setattr(cli, "chsh_lhv", just_above_two)
+    def test_bell_sign_bound_has_no_sigma_allowance(self, capsys, s_just_above_two):
+        # S <= 2 is an identity of the shared-stream estimate for every built-in model.
         rc, out, _ = run_cli(capsys, "selftest")
         assert rc == 1
         assert "FAIL lhv-bound-bell-sign (S = 2.0000 +- 0.0100)" in out
-        assert "PASS lhv-bound-averaged-linear" in out
+        assert "FAIL lhv-bound-averaged-linear (S = 2.0000 +- 0.0100)" in out
 
 
 class TestNonFiniteCoefficients:

@@ -8,7 +8,8 @@ at grid 16), every subcommand in each ``--format`` it accepts with and
 without ``--out``, and two usage errors (exit 2).
 
 A deliberate change to a report is made by rewriting the goldens from the
-same case table and reviewing their diff::
+same case table and reviewing their diff; the rewrite first names the cases
+whose records changed (or says that none did) and any stale golden it removes::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -97,10 +98,18 @@ def test_no_stale_goldens():
 if __name__ == "__main__":
     os.environ.pop("BELLLAB_SEED", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for stale in GOLDEN_DIR.glob("*.json"):
-        stale.unlink()
+    records = {}
     for case, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
-            record = run_case(argv, pathlib.Path(tmp))
+            records[case] = run_case(argv, pathlib.Path(tmp))
+    stored = {p.stem: json.loads(p.read_text()) for p in GOLDEN_DIR.glob("*.json")}
+    changed = sorted(case for case, record in records.items() if stored.get(case) != record)
+    stale = sorted(set(stored) - set(CASES))
+    print(f"changed: {', '.join(changed)}" if changed else "no golden changed", file=sys.stderr)
+    if stale:
+        print(f"stale: {', '.join(stale)}", file=sys.stderr)
+    for case in stale:
+        golden_path(case).unlink()
+    for case, record in records.items():
         golden_path(case).write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {len(CASES)} goldens to {GOLDEN_DIR}", file=sys.stderr)

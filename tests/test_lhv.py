@@ -93,6 +93,27 @@ class NoDrawModel(ConstantModel):
         raise AssertionError("drew hidden variables")
 
 
+class FlippedOnceModel:
+    """The sign model's +-1 responses, with a fourth hidden component f = +-1 that side B
+    multiplies in; f = -1 on the stream's first draw alone, so A(b')B(b') = +1 there."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def sample_lambda(self, rng, n=1):
+        lam = np.column_stack([lhv._sample_sphere(rng, n), np.ones(n)])
+        if self.drawn == 0:
+            lam[0, 3] = -1.0
+        self.drawn += n
+        return lam
+
+    def response_a(self, a, lam):
+        return BellSignModel.response_a(self, a, lam[:, :3])
+
+    def response_b(self, b, lam):
+        return BellSignModel.response_b(self, b, lam[:, :3]) * lam[:, 3]
+
+
 def shared_draws(model, n, seed):
     """The hidden variables of one (seed, n) stream, drawn block by block as the estimators do."""
     rng = np.random.default_rng(seed)
@@ -292,6 +313,20 @@ class TestChshLhv:
             s = random_settings(rng)
             assert chsh_lhv(BellSignModel(), s, n, seed=seed).value <= 2.0
             assert chsh_lhv(AveragedLinearModel(), s, n, seed=seed).value <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("case", ["a=a'=b=b'", "a=a', b=b'", "a=a'=b, b'=-b"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_averaged_linear_degenerate_settings_keep_two(self, case, n):
+        # Where the settings coincide one draw comes closest to saturating
+        # |x| + |y| <= 2; the estimate still keeps S <= 2 with no slack.
+        rng = np.random.default_rng(55)
+        for seed in range(300):
+            u, v = random_unit_vector(rng), random_unit_vector(rng)
+            minus_v = UnitVector3(-v.x, -v.y, -v.z)
+            s = {"a=a'=b=b'": MeasurementSettings(v, v, v, v),
+                 "a=a', b=b'": MeasurementSettings(u, v, u, v),
+                 "a=a'=b, b'=-b": MeasurementSettings(v, v, v, minus_v)}[case]
+            assert chsh_lhv(AveragedLinearModel(), s, n, seed=seed).value <= 2.0
 
     @pytest.mark.parametrize("c2", [-INV_SQRT2, INV_SQRT2])
     @pytest.mark.parametrize("n", [1, 2, 3, 1000, MULTI_BLOCK_N])
@@ -614,13 +649,26 @@ class TestBell1964:
 
     def test_sign_model_holds_exactly(self):
         # Perfect anticorrelation on one shared stream bounds the integer sums:
-        # |sum AB - sum AB'| <= n + sum A(b')B(b), for any triple.
+        # |sum AB - sum AB'| <= n + sum A(b')B(b), for any triple; the sampling
+        # route's float sums of +-1 products are exact integers too.
         rng = np.random.default_rng(41)
         for seed in range(50):
             a, b, b_prime = (random_unit_vector(rng) for _ in range(3))
             for n in (1, 2, 3, 10_000):
-                res = bell1964_check(BellSignModel(), a, b, b_prime, n, seed=seed)
-                assert res.lhs <= res.rhs
+                for model in (BellSignModel(), SampledBellSign()):
+                    res = bell1964_check(model, a, b, b_prime, n, seed=seed)
+                    assert res.lhs <= res.rhs
+
+    def test_precondition_rejects_one_agreeing_draw(self):
+        # Anticorrelated on all but one of 1e5 draws used to pass within 5 sigma.
+        rng = np.random.default_rng(57)
+        a, b, b_prime = (random_unit_vector(rng) for _ in range(3))
+        with pytest.raises(PreconditionError):
+            bell1964_check(FlippedOnceModel(), a, b, b_prime, 100_000, seed=9)
+        model = FlippedOnceModel()
+        model.drawn = 1  # the same stream with no flipped draw
+        res = bell1964_check(model, a, b, b_prime, 100_000, seed=9)
+        assert res.lhs <= res.rhs
 
     def test_precondition_rejects_averaged_model(self):
         # E(b', b') = -1/3 for the linear model: the reduction does not apply.

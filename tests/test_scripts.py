@@ -1,5 +1,5 @@
 """Smoke tests: each experiment script runs at a small size and exits 0, the
-scan script takes C = 0 and rejects out-of-range inputs with exit 2, the
+LHV script's local columns stay in [0, 2], the scan script takes C = 0 and rejects out-of-range inputs with exit 2, the
 per-call harness times every function in this tree, and the README's Python
 API sketch runs as written."""
 import importlib.util
@@ -26,6 +26,17 @@ def test_script_runs(tmp_path, script, args):
     done = run_script(tmp_path, script, *(a.format(tmp=tmp_path) for a in args))
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_lhv_script_local_columns_keep_two(tmp_path):
+    # Each row: C, the quantum maximum, then "S +- stderr" per local model.
+    done = run_script(tmp_path, "lhv_vs_quantum.py", "--samples", "2000")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        assert float(row[1]) > 2.0
+        assert all(0.0 <= float(s) <= 2.0 for s in row[2::3])
 
 
 def run_script(tmp_path, script, *args):
