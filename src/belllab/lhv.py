@@ -21,6 +21,13 @@ depend only on the counts of the sign patterns of (v . lambda) over the
 distinct settings v, which are exactly Multinomial(n, p) with p in closed
 form, so one multinomial draw costs the same at any n.  Every other model,
 subclasses of ``BellSignModel`` included, is sampled draw by draw.
+
+For ``AveragedLinearModel`` itself the estimators draw each block's lambda
+into one workspace, made once per estimate, instead of calling
+``sample_lambda``, which returns a fresh array per call: a block then
+allocates no sampler arrays, and the draws, sums and moments are
+bit-identical to the ``sample_lambda`` route.  Its subclasses and every
+other model go through ``sample_lambda``.
 """
 from __future__ import annotations
 
@@ -35,13 +42,29 @@ from .chsh import MeasurementSettings, chsh_combination
 
 # Samples are drawn in fixed-size blocks so results depend only on (seed, n).
 # At 2**14 a block's lambda, sampler, response and product arrays take about
-# 2 MB together, so each numpy pass over them runs in a per-core L2 cache and
-# the peak memory stays at a few blocks.
+# 2 MB together, so each numpy pass over them runs in a per-core L2 cache,
+# and one block-sized workspace (``_sphere_work``) serves every block of an
+# averaged-linear estimate, so its blocks allocate no fresh sampler arrays.
 _BLOCK = 1 << 14
 _MAX_COUNT = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
 
 
-def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
+def _draws_for(k: int) -> int:
+    """Pairs (u, v) a round draws for k missing points: about 1.31 k + 64."""
+    return k + k // 4 + k // 16 + 64
+
+
+def _sphere_work(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Workspace for ``_sample_sphere`` draws of up to n points.
+
+    Holds the 3 x n points, a round's (u, v, s) rows, the factor
+    2 sqrt(1 - s) of its accepted points and its acceptance mask.
+    """
+    k = _draws_for(n)
+    return np.empty(3 * n), np.empty(3 * k), np.empty(k), np.empty(k, dtype=bool)
+
+
+def _sample_sphere(rng: np.random.Generator, n: int, work=None) -> np.ndarray:
     """n points uniform on the unit sphere by Marsaglia's disc method.
 
     Pairs (u, v) uniform on [-1, 1]^2 are kept, in draw order, while
@@ -50,20 +73,41 @@ def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     (G. Marsaglia, Ann. Math. Stat. 43, 645 (1972)).  A round draws about
     1.31 k + 64 pairs for the k points still missing; pi/4 of them land in
     the disc, so one round almost always fills the block.
+
+    Every array of a round lives in ``work``, a ``_sphere_work(m)`` with
+    m >= n, and the points come back as an (n, 3) view of it that the next
+    draw into ``work`` overwrites.  Without ``work`` a one-shot workspace
+    is made, so the points are a fresh array.  The doubles are those of
+    ``rng.uniform(-1, 1)``, as 2d - 1 from ``rng.random``, so the points
+    depend only on the generator's state and n.
     """
-    out = np.empty((3, n))
+    points, draws, w, accept = _sphere_work(n) if work is None else work
+    out = points[:3 * n].reshape(3, n)
     done = 0
     while done < n:
         k = n - done
-        uv = rng.uniform(-1.0, 1.0, (2, k + k // 4 + k // 16 + 64))
-        uv = np.compress(uv[0] * uv[0] + uv[1] * uv[1] < 1.0, uv, axis=1)[:, :k]
-        u, v = uv
-        s = u * u + v * v
-        m = len(s)
-        w = np.sqrt(1.0 - s)
-        w *= 2.0
-        np.multiply(uv, w, out=out[:2, done:done + m])
-        np.subtract(1.0, 2.0 * s, out=out[2, done:done + m])
+        size = _draws_for(k)
+        uvs = draws[:3 * size].reshape(3, size)
+        u, v, s = uvs
+        rng.random(out=uvs[:2])
+        uvs[:2] *= 2.0
+        uvs[:2] -= 1.0
+        np.multiply(u, u, out=s)
+        np.multiply(v, v, out=w[:size])
+        s += w[:size]
+        kept = np.flatnonzero(np.less(s, 1.0, out=accept[:size]))[:k]
+        m = len(kept)
+        x, y, z = out[:, done:done + m]
+        for row, dst in zip(uvs, (x, y, z)):
+            np.take(row, kept, out=dst, mode="clip")
+        f = w[:m]
+        np.subtract(1.0, z, out=f)
+        np.sqrt(f, out=f)
+        f *= 2.0
+        x *= f
+        y *= f
+        z *= 2.0
+        np.subtract(1.0, z, out=z)
         done += m
     return out.T
 
@@ -83,8 +127,9 @@ class CorrelationEstimate:
     def __post_init__(self):
         if not (0.0 <= self.std_error < math.inf):
             raise ValueError(f"std_error must be finite and non-negative, got {self.std_error}")
-        if not (isinstance(self.n_samples, numbers.Integral) and self.n_samples >= 1):
-            raise ValueError(f"n_samples must be a positive integer, got {self.n_samples}")
+        n = self.n_samples
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+            raise ValueError(f"n_samples must be a positive integer, got {n}")
         if not abs(self.value) <= 1.0 + 3.0 * self.std_error:
             raise ValueError(
                 f"estimate {self.value} inconsistent with a bounded correlation"
@@ -216,7 +261,8 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     P_i and the k x k matrix of the sums of P_i * P_j.  For +-1 responses
     both hold exact integers; for ``BellSignModel`` they are Python ints,
     formed from one multinomial draw of the sign-pattern counts, so they stay
-    exact at any n.
+    exact at any n.  ``AveragedLinearModel`` draws lambda into one workspace
+    reused by every block, the same stream ``sample_lambda`` would return.
     """
     check_integer("sample count", n)
     if not 1 <= n <= _MAX_COUNT:
@@ -232,10 +278,11 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     sums = np.zeros(len(pairs))
     moments = np.zeros((len(pairs), len(pairs)))
     buf = np.empty((len(pairs), min(_BLOCK, n)))
+    work = _sphere_work(min(_BLOCK, n)) if type(model) is AveragedLinearModel else None
     done = 0
     while done < n:
         m = min(_BLOCK, n - done)
-        lam = model.sample_lambda(rng, m)
+        lam = model.sample_lambda(rng, m) if work is None else _sample_sphere(rng, m, work)
         resp_a = [np.asarray(model.response_a(x, lam)) for x in side_a]
         resp_b = [np.asarray(model.response_b(y, lam)) for y in side_b]
         prod = buf[:, :m]

@@ -11,6 +11,7 @@ from belllab import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    AveragedLinearModel,
     BellSignModel,
     CoincidenceCounts,
     JointProbabilities,
@@ -236,6 +237,48 @@ def reference_sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+
+
+# ------------------------------------------------ allocating disc sampler
+#
+# lhv._sample_sphere before it drew into a reusable workspace: every round
+# allocates its draws, its accepted columns and each arithmetic step anew.
+# Kept as the bit-identity oracle of the workspace route.
+
+
+def allocating_sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points uniform on the unit sphere by Marsaglia's disc method, in fresh arrays."""
+    out = np.empty((3, n))
+    done = 0
+    while done < n:
+        k = n - done
+        uv = rng.uniform(-1.0, 1.0, (2, k + k // 4 + k // 16 + 64))
+        uv = np.compress(uv[0] * uv[0] + uv[1] * uv[1] < 1.0, uv, axis=1)[:, :k]
+        u, v = uv
+        s = u * u + v * v
+        m = len(s)
+        w = np.sqrt(1.0 - s)
+        w *= 2.0
+        np.multiply(uv, w, out=out[:2, done:done + m])
+        np.subtract(1.0, 2.0 * s, out=out[2, done:done + m])
+        done += m
+    return out.T
+
+
+class SampledAveragedLinear:
+    """AveragedLinearModel's responses on a class that is not AveragedLinearModel.
+
+    The estimators draw AveragedLinearModel's hidden variables into one
+    workspace per estimate; this duck-typed copy takes the ``sample_lambda``
+    route with the allocating sampler, and so serves as that route's oracle.
+    """
+
+    name = AveragedLinearModel.name
+    response_a = AveragedLinearModel.response_a
+    response_b = AveragedLinearModel.response_b
+
+    def sample_lambda(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+        return allocating_sample_sphere(rng, n)
 
 
 # ------------------------------------------------- per-pair LHV streams
