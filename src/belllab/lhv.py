@@ -5,8 +5,6 @@ functions; Bell locality is built into the interface, since ``response_a``
 receives only the local setting and the hidden variable (never the remote
 setting), and symmetrically for ``response_b``.  Responses are bounded by 1
 in modulus and may be deterministic (+-1 outcomes) or device-averaged.
-Both built-in models draw lambda uniform on the unit sphere by Marsaglia's
-disc method, which needs no trigonometric call.
 
 Every estimate draws one hidden-variable stream and evaluates all of its
 orientation pairs on the same draws, as Bell's derivation of the CHSH
@@ -16,18 +14,13 @@ responses bounded by 1, each draw's x = AB - AB' and y = A'B' + A'B have
 within statistical error: in integers for +-1 responses, and up to the
 rounding of each draw's products (about 1e-16) for device-averaged ones.
 
-For ``BellSignModel`` itself no lambda is drawn: the statistics of n draws
-depend only on the counts of the sign patterns of (v . lambda) over the
-distinct settings v, which are exactly Multinomial(n, p) with p in closed
-form, so one multinomial draw costs the same at any n.  Every other model,
-subclasses of ``BellSignModel`` included, is sampled draw by draw.
-
-For ``AveragedLinearModel`` itself the estimators draw each block's lambda
-into one workspace, made once per estimate, instead of calling
-``sample_lambda``, which returns a fresh array per call: a block then
-allocates no sampler arrays, and the draws, sums and moments are
-bit-identical to the ``sample_lambda`` route.  Its subclasses and every
-other model go through ``sample_lambda``.
+The two built-in models themselves draw no lambda: the statistics of n draws
+depend only on the counts of their +-1 outcome patterns, exactly
+Multinomial(n, p) with p in closed form, so one multinomial draw costs the
+same at any n.  ``AveragedLinearModel`` is read as Bell's 1971 average of
+local +-1 outcomes, each +1 with probability (1 + r)/2 given lambda, which
+keeps E = -(a . b)/3 and gives the standard errors of +-1 draws.  Every
+other model, subclasses of the built-in ones included, is sampled.
 """
 from __future__ import annotations
 
@@ -40,31 +33,14 @@ import numpy as np
 from .algebra import UnitVector3, check_integer
 from .chsh import MeasurementSettings, chsh_combination
 
-# Samples are drawn in fixed-size blocks so results depend only on (seed, n).
+# Sampled models draw in fixed-size blocks so results depend only on (seed, n).
 # At 2**14 a block's lambda, sampler, response and product arrays take about
-# 2 MB together, so each numpy pass over them runs in a per-core L2 cache,
-# and one block-sized workspace (``_sphere_work``) serves every block of an
-# averaged-linear estimate, so its blocks allocate no fresh sampler arrays.
+# 2 MB together, so each numpy pass over them runs in a per-core L2 cache.
 _BLOCK = 1 << 14
 _MAX_COUNT = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
 
 
-def _draws_for(k: int) -> int:
-    """Pairs (u, v) a round draws for k missing points: about 1.31 k + 64."""
-    return k + k // 4 + k // 16 + 64
-
-
-def _sphere_work(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Workspace for ``_sample_sphere`` draws of up to n points.
-
-    Holds the 3 x n points, a round's (u, v, s) rows, the factor
-    2 sqrt(1 - s) of its accepted points and its acceptance mask.
-    """
-    k = _draws_for(n)
-    return np.empty(3 * n), np.empty(3 * k), np.empty(k), np.empty(k, dtype=bool)
-
-
-def _sample_sphere(rng: np.random.Generator, n: int, work=None) -> np.ndarray:
+def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     """n points uniform on the unit sphere by Marsaglia's disc method.
 
     Pairs (u, v) uniform on [-1, 1]^2 are kept, in draw order, while
@@ -72,21 +48,18 @@ def _sample_sphere(rng: np.random.Generator, n: int, work=None) -> np.ndarray:
     which is exactly uniform on the sphere with no trigonometric call
     (G. Marsaglia, Ann. Math. Stat. 43, 645 (1972)).  A round draws about
     1.31 k + 64 pairs for the k points still missing; pi/4 of them land in
-    the disc, so one round almost always fills the block.
-
-    Every array of a round lives in ``work``, a ``_sphere_work(m)`` with
-    m >= n, and the points come back as an (n, 3) view of it that the next
-    draw into ``work`` overwrites.  Without ``work`` a one-shot workspace
-    is made, so the points are a fresh array.  The doubles are those of
+    the disc, so one round almost always fills the block, and later rounds
+    reuse the first round's workspace.  The doubles are those of
     ``rng.uniform(-1, 1)``, as 2d - 1 from ``rng.random``, so the points
     depend only on the generator's state and n.
     """
-    points, draws, w, accept = _sphere_work(n) if work is None else work
-    out = points[:3 * n].reshape(3, n)
+    out = np.empty((3, n))
     done = 0
     while done < n:
         k = n - done
-        size = _draws_for(k)
+        size = k + k // 4 + k // 16 + 64
+        if not done:
+            draws, w, accept = np.empty(3 * size), np.empty(size), np.empty(size, dtype=bool)
         uvs = draws[:3 * size].reshape(3, size)
         u, v, s = uvs
         rng.random(out=uvs[:2])
@@ -164,16 +137,12 @@ class Bell1964Result:
 class BellSignModel:
     """Deterministic +-1 responses from a hidden unit vector.
 
-    The hidden variable is uniform on the sphere, drawn by Marsaglia's disc
-    method (a point (u, v) uniform in the unit disc, with s = u^2 + v^2, maps
-    to (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s)).  Side A answers
-    sign(a . lam) and side B answers -sign(b . lam), with the measure-zero
-    tie a . lam = 0 (+0.0 or -0.0) resolved to +1.  The exact correlation is
-    E(a, b) = -1 + 2*theta/pi at relative angle theta.
-
-    The estimators draw no lambda for this class but its sign-pattern counts
-    (``_sign_pattern_law``); these methods remain its definition, the route
-    of subclasses and the tests' oracle.
+    The hidden variable is uniform on the sphere (``_sample_sphere``).  Side A
+    answers sign(a . lam) and side B answers -sign(b . lam), with the
+    measure-zero tie a . lam = 0 (+0.0 or -0.0) resolved to +1.  The exact
+    correlation is E(a, b) = -1 + 2*theta/pi at relative angle theta.  The
+    estimators draw its sign-pattern counts (``_sign_pattern_law``); these
+    methods remain its definition, the route of subclasses and the oracle.
     """
 
     name = "bell-sign"
@@ -194,7 +163,8 @@ class AveragedLinearModel:
 
     Exercises the non-deterministic-outcome case.  The hidden vector is
     drawn uniform on the sphere as in ``BellSignModel``, and the exact
-    correlation is E(a, b) = -(a . b)/3.
+    correlation is E(a, b) = -(a . b)/3.  The estimators draw the counts of
+    its +-1 outcome patterns (``_linear_outcome_law``) instead.
     """
 
     name = "averaged-linear"
@@ -209,10 +179,7 @@ class AveragedLinearModel:
         return -(lam @ b.as_array())
 
 
-BUILTIN_MODELS = {
-    BellSignModel.name: BellSignModel,
-    AveragedLinearModel.name: AveragedLinearModel,
-}
+BUILTIN_MODELS = {model.name: model for model in (BellSignModel, AveragedLinearModel)}
 
 
 def _angles(v: np.ndarray) -> np.ndarray:
@@ -252,37 +219,68 @@ def _sign_pattern_law(pairs) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(walsh / 2 ** k, 0.0), -signs[:, x] * signs[:, y]
 
 
+def _sides(pairs) -> tuple[list, list, list[tuple[int, int]]]:
+    """Each side's distinct settings in first-use order, and each pair's (A, B) index into them."""
+    side_a = list(dict.fromkeys(x for x, _ in pairs))
+    side_b = list(dict.fromkeys(y for _, y in pairs))
+    return side_a, side_b, [(side_a.index(x), side_b.index(y)) for x, y in pairs]
+
+
+def _linear_outcome_law(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of AveragedLinearModel's +-1 outcome patterns over the distinct items of ``pairs``.
+
+    Each distinct (side, setting) item i answers o_i = +-1, drawn alone given
+    lam with P(+1) = (1 + r_i)/2, r_i = eps_i v_i . lam (eps = +1 on side A,
+    -1 on B), so p(o) = 2^-k E[prod_i (1 + o_i r_i)].  The odd moments of the
+    isotropic lam vanish, E[r_i r_j] = g_ij = eps_i eps_j v_i . v_j / 3, and
+    its fourth moment is [(v1.v2)(v3.v4) + (v1.v3)(v2.v4) + (v1.v4)(v2.v3)]/15,
+    so p(o) = 2^-k (1 + sum_{i<j} o_i o_j g_ij + [k = 4] o_1 o_2 o_3 o_4
+    (3/5)(g_12 g_34 + g_13 g_24 + g_14 g_23)).  Each cell is > 0, as each
+    factor is.  Returns p (bit i of the index set when o_i = -1, the A items
+    first) and the integer matrix of each pattern's pair products o_x o_y.
+    """
+    side_a, side_b, index = _sides(pairs)
+    k = len(side_a) + len(side_b)
+    r = np.array([u.as_array() for u in side_a] + [-u.as_array() for u in side_b])
+    g = r @ r.T / 3.0
+    np.fill_diagonal(g, 0.0)
+    signs = 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
+    walsh = 1.0 + np.einsum("si,ij,sj->s", signs, g, signs) / 2.0
+    if k == 4:
+        walsh += signs.prod(axis=1) * (0.6 * (g[0, 1] * g[2, 3] + g[0, 2] * g[1, 3] + g[0, 3] * g[1, 2]))
+    x, y = np.array(index).T
+    return walsh / 2 ** k, signs[:, x] * signs[:, len(side_a) + y]
+
+
+_EXACT_LAWS = {BellSignModel: _sign_pattern_law, AveragedLinearModel: _linear_outcome_law}
+
+
 def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the pair products over one hidden-variable stream of n draws.
 
-    lambda is drawn once per block and shared by every (x, y) in ``pairs``;
-    each distinct setting's response is evaluated once per side.  With
-    P_i = response_a(x_i) * response_b(y_i) per draw, returns the k sums of
-    P_i and the k x k matrix of the sums of P_i * P_j.  For +-1 responses
-    both hold exact integers; for ``BellSignModel`` they are Python ints,
-    formed from one multinomial draw of the sign-pattern counts, so they stay
-    exact at any n.  ``AveragedLinearModel`` draws lambda into one workspace
-    reused by every block, the same stream ``sample_lambda`` would return.
+    With P_i = response_a(x_i) * response_b(y_i) per draw, returns the k sums
+    of P_i and the k x k matrix of the sums of P_i * P_j.  The built-in models
+    draw their pattern counts (``_EXACT_LAWS``), so both hold Python ints.
+    Other models draw lambda once per block, shared by every pair, and
+    evaluate each distinct setting's response once per side.
     """
     check_integer("sample count", n)
     if not 1 <= n <= _MAX_COUNT:
         raise ValueError("sample count must be in [1, 2**63 - 1]")
     rng = np.random.default_rng(seed)
-    if type(model) is BellSignModel:
-        p, prod = _sign_pattern_law(pairs)
+    law = _EXACT_LAWS.get(type(model))
+    if law is not None:
+        p, prod = law(pairs)
         counts, prod = rng.multinomial(n, p).astype(object), prod.astype(object)
         return counts @ prod, (prod.T * counts) @ prod
-    side_a = list(dict.fromkeys(x for x, _ in pairs))
-    side_b = list(dict.fromkeys(y for _, y in pairs))
-    index = [(side_a.index(x), side_b.index(y)) for x, y in pairs]
+    side_a, side_b, index = _sides(pairs)
     sums = np.zeros(len(pairs))
     moments = np.zeros((len(pairs), len(pairs)))
     buf = np.empty((len(pairs), min(_BLOCK, n)))
-    work = _sphere_work(min(_BLOCK, n)) if type(model) is AveragedLinearModel else None
     done = 0
     while done < n:
         m = min(_BLOCK, n - done)
-        lam = model.sample_lambda(rng, m) if work is None else _sample_sphere(rng, m, work)
+        lam = model.sample_lambda(rng, m)
         resp_a = [np.asarray(model.response_a(x, lam)) for x in side_a]
         resp_b = [np.asarray(model.response_b(y, lam)) for y in side_b]
         prod = buf[:, :m]

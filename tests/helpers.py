@@ -268,9 +268,10 @@ def allocating_sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 class SampledAveragedLinear:
     """AveragedLinearModel's responses on a class that is not AveragedLinearModel.
 
-    The estimators draw AveragedLinearModel's hidden variables into one
-    workspace per estimate; this duck-typed copy takes the ``sample_lambda``
-    route with the allocating sampler, and so serves as that route's oracle.
+    The estimators draw AveragedLinearModel's outcome patterns from their
+    exact law; this duck-typed copy takes the sampling route, with the
+    allocating sampler, and so serves as the bit-identity oracle of that
+    route for the model's subclasses.
     """
 
     name = AveragedLinearModel.name
@@ -279,6 +280,63 @@ class SampledAveragedLinear:
 
     def sample_lambda(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         return allocating_sample_sphere(rng, n)
+
+
+class SampledLinearOutcomes:
+    """AveragedLinearModel read as +-1 outcomes, sampled draw by draw: the oracle of its outcome law.
+
+    Made for the distinct settings of one set of pairs.  Each draw is lambda
+    from the allocating sampler followed by one uniform u per (side,
+    setting); side A answers +1 at a when u < (1 + a . lambda)/2 and side B
+    at b when u < (1 - b . lambda)/2, else -1.  Each side reads only its own
+    uniforms, so the model is local, and E(a, b) = -(a . b)/3.
+    """
+
+    name = AveragedLinearModel.name
+
+    def __init__(self, pairs):
+        self.side_a = list(dict.fromkeys(x for x, _ in pairs))
+        self.side_b = list(dict.fromkeys(y for _, y in pairs))
+
+    def sample_lambda(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+        lam = allocating_sample_sphere(rng, n)
+        return np.column_stack([lam, rng.random((n, len(self.side_a) + len(self.side_b)))])
+
+    def response_a(self, a: UnitVector3, lam: np.ndarray) -> np.ndarray:
+        u = lam[:, 3 + self.side_a.index(a)]
+        return np.where(u < (1.0 + lam[:, :3] @ a.as_array()) / 2.0, 1.0, -1.0)
+
+    def response_b(self, b: UnitVector3, lam: np.ndarray) -> np.ndarray:
+        u = lam[:, 3 + len(self.side_a) + self.side_b.index(b)]
+        return np.where(u < (1.0 - lam[:, :3] @ b.as_array()) / 2.0, 1.0, -1.0)
+
+    def outcomes(self, lam: np.ndarray) -> np.ndarray:
+        """Each draw's outcome per item, one column per item, the A items first."""
+        return np.column_stack([self.response_a(a, lam) for a in self.side_a]
+                               + [self.response_b(b, lam) for b in self.side_b])
+
+
+def quadrature_linear_law(pairs) -> np.ndarray:
+    """Probabilities of AveragedLinearModel's +-1 outcome patterns by quadrature on the sphere.
+
+    p(o) = 2^-k E[prod_i (1 + o_i r_i)] is a polynomial of degree k <= 4 in
+    lambda.  Averaged over 8 equally spaced azimuths, which is exact for
+    trigonometric degree below 8, its odd powers of sqrt(1 - z^2) vanish and
+    a polynomial of degree <= 4 in z is left, which 3 Gauss-Legendre nodes
+    integrate exactly.  Patterns and items are indexed as in
+    lhv._linear_outcome_law.
+    """
+    z, weight = np.polynomial.legendre.leggauss(3)
+    z, w = np.repeat(z, 8), np.repeat(weight, 8) / 16.0
+    phi = np.tile(2.0 * math.pi * np.arange(8) / 8.0, 3)
+    rho = np.sqrt(1.0 - z * z)
+    lam = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    side_a = list(dict.fromkeys(x for x, _ in pairs))
+    side_b = list(dict.fromkeys(y for _, y in pairs))
+    r = np.column_stack([lam @ a.as_array() for a in side_a] + [-(lam @ b.as_array()) for b in side_b])
+    k = r.shape[1]
+    signs = 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
+    return np.array([w @ np.prod(1.0 + o * r, axis=1) for o in signs]) / 2 ** k
 
 
 # ------------------------------------------------- per-pair LHV streams

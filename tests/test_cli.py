@@ -263,8 +263,20 @@ class TestLhvCommand:
         assert rc == 0
         payload = json.loads(out)
         assert payload["within_local_bound"] is True
-        assert payload["S"] <= 2.0 + 5.0 * payload["stderr"]
+        assert payload["S"] <= 2.0
         assert {"seed", "settings", "E", "S", "stderr"} <= set(payload)
+
+    def test_averaged_linear_at_the_largest_sample_count(self, capsys):
+        # Sampled draw by draw, this run could not finish.
+        rc, out, _ = run_cli(
+            capsys, "lhv", "--model", "averaged-linear", "--samples", "9223372036854775807",
+            "--gisin-for", "0.7071068", "0.7071068", "--format", "json",
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["samples"] == 2 ** 63 - 1
+        assert payload["within_local_bound"] is True
+        assert payload["S"] <= 2.0
 
     def test_unknown_model_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

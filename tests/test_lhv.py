@@ -24,8 +24,10 @@ from belllab.lhv import _BLOCK
 from helpers import (
     SampledAveragedLinear,
     SampledBellSign,
+    SampledLinearOutcomes,
     allocating_sample_sphere,
     per_pair_chsh_lhv,
+    quadrature_linear_law,
     random_settings,
     random_unit_vector,
     reference_sample_sphere,
@@ -45,9 +47,9 @@ assert MULTI_BLOCK_N > 2 * _BLOCK and MULTI_BLOCK_N % _BLOCK == 1
 CHI2_49_CRIT = 111.14
 
 
-# The built-in models as the sampling route runs them: bell-sign through its
-# duck-typed copy, since BellSignModel itself draws no hidden variable.
-SAMPLING_MODELS = {"bell-sign": SampledBellSign, "averaged-linear": AveragedLinearModel}
+# The built-in models as the sampling route runs them, through duck-typed
+# copies, since the built-in classes themselves draw no hidden variable.
+SAMPLING_MODELS = {"bell-sign": SampledBellSign, "averaged-linear": SampledAveragedLinear}
 assert set(SAMPLING_MODELS) == set(BUILTIN_MODELS)
 
 
@@ -104,6 +106,10 @@ class TrigonometricModel:
 
     def response_b(self, b, lam):
         return self.model.response_b(b, lam)
+
+
+class SubclassedAveragedLinear(AveragedLinearModel):
+    """AveragedLinearModel's own methods on the sampling route, which its subclasses take."""
 
 
 class NoDrawModel(ConstantModel):
@@ -339,12 +345,14 @@ class TestChshLhv:
             s = random_settings(rng)
             assert chsh_lhv(BellSignModel(), s, n, seed=seed).value <= 2.0
             assert chsh_lhv(AveragedLinearModel(), s, n, seed=seed).value <= 2.0 + 1e-12
+            assert chsh_lhv(SampledAveragedLinear(), s, n, seed=seed).value <= 2.0 + 1e-12
 
     @pytest.mark.parametrize("case", ["a=a'=b=b'", "a=a', b=b'", "a=a'=b, b'=-b"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_averaged_linear_degenerate_settings_keep_two(self, case, n):
-        # Where the settings coincide one draw comes closest to saturating
-        # |x| + |y| <= 2; the estimate still keeps S <= 2 with no slack.
+        # Where the settings coincide one draw of the real responses comes
+        # closest to saturating |x| + |y| <= 2; the estimate still keeps
+        # S <= 2 with no slack, on the sampled route and on the law.
         rng = np.random.default_rng(55)
         for seed in range(300):
             u, v = random_unit_vector(rng), random_unit_vector(rng)
@@ -353,6 +361,7 @@ class TestChshLhv:
                  "a=a', b=b'": MeasurementSettings(u, v, u, v),
                  "a=a'=b, b'=-b": MeasurementSettings(v, v, v, minus_v)}[case]
             assert chsh_lhv(AveragedLinearModel(), s, n, seed=seed).value <= 2.0
+            assert chsh_lhv(SampledAveragedLinear(), s, n, seed=seed).value <= 2.0
 
     @pytest.mark.parametrize("c2", [-INV_SQRT2, INV_SQRT2])
     @pytest.mark.parametrize("n", [1, 2, 3, 1000, MULTI_BLOCK_N])
@@ -642,6 +651,140 @@ class TestExactSignRoute:
         assert draws == [_BLOCK, 1]
 
 
+def linear_pattern_index(model, lam):
+    """Pattern index of each draw of a SampledLinearOutcomes: bit i set when item i answers -1."""
+    minus = model.outcomes(lam) < 0.0
+    return minus @ (1 << np.arange(minus.shape[1]))
+
+
+def exact_linear_correlations(pairs):
+    return np.array([-(x.as_array() @ y.as_array()) / 3.0 for x, y in pairs])
+
+
+LINEAR_PAIR_SETS = {
+    "correlation": ((_u, _v),),
+    "equal-settings": ((_u, _u),),
+    "b=b'": quadruple_pairs(_u, _v, _w, _w),
+    "general": quadruple_pairs(*_general),
+    "gisin": gisin_settings(INV_SQRT2, INV_SQRT2).pairs(),
+    # Four nearby settings, where the four-fold term is largest.
+    "clustered": quadruple_pairs(_u, tilted(_u, 0.2), tilted(_u, -0.2), tilted(_u, 0.4)),
+    "bell1964": bell1964_pairs(_u, _v, _w),
+    "bell1964-b=b'": bell1964_pairs(_u, _v, _v),
+}
+
+
+class TestLinearOutcomeLaw:
+    """The exact law of AveragedLinearModel's +-1 outcome patterns against a sampling oracle."""
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_PAIR_SETS))
+    def test_probabilities_form_a_distribution(self, name):
+        pairs = LINEAR_PAIR_SETS[name]
+        model = SampledLinearOutcomes(pairs)
+        k = len(model.side_a) + len(model.side_b)
+        p, prod = lhv._linear_outcome_law(pairs)
+        assert p.shape == (2 ** k,) and prod.shape == (2 ** k, len(pairs))
+        assert np.all(p > 0.0)
+        assert abs(p.sum() - 1.0) <= 1e-15
+        assert set(np.unique(prod)) <= {-1, 1}
+
+    def test_correlators_are_exact(self):
+        # 2,000 random quadruples, each also read as a pair and as a 1964 triple.
+        rng = np.random.default_rng(63)
+        for _ in range(2000):
+            s = random_settings(rng)
+            for pairs in (((s.a, s.b),), s.pairs(), bell1964_pairs(s.a, s.b, s.b_prime)):
+                p, prod = lhv._linear_outcome_law(pairs)
+                assert np.all(p > 0.0) and abs(p.sum() - 1.0) <= 1e-15
+                np.testing.assert_allclose(p @ prod, exact_linear_correlations(pairs), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_PAIR_SETS))
+    def test_equals_the_quadrature_oracle(self, name):
+        pairs = LINEAR_PAIR_SETS[name]
+        np.testing.assert_allclose(lhv._linear_outcome_law(pairs)[0], quadrature_linear_law(pairs), rtol=0, atol=1e-15)
+
+    def test_equals_the_quadrature_oracle_on_random_quadruples(self):
+        rng = np.random.default_rng(69)
+        for _ in range(500):
+            s = random_settings(rng)
+            for pairs in (s.pairs(), bell1964_pairs(s.a, s.b, s.b_prime)):
+                np.testing.assert_allclose(lhv._linear_outcome_law(pairs)[0], quadrature_linear_law(pairs),
+                                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_PAIR_SETS))
+    def test_chi_square_against_sampled_outcomes(self, name):
+        # Pearson's test of 10**6 sampled patterns; every cell expects > 2e4.
+        pairs = LINEAR_PAIR_SETS[name]
+        p, _ = lhv._linear_outcome_law(pairs)
+        model, n = SampledLinearOutcomes(pairs), 10 ** 6
+        lam = model.sample_lambda(np.random.default_rng(65), n)
+        observed = np.bincount(linear_pattern_index(model, lam), minlength=len(p))
+        expected = n * p
+        assert expected.min() > 2e4
+        assert float(((observed - expected) ** 2 / expected).sum()) < CHI2_CRIT[len(p) - 1]
+
+    def test_pair_products_are_those_of_the_outcomes(self):
+        pairs = LINEAR_PAIR_SETS["bell1964"]
+        model = SampledLinearOutcomes(pairs)
+        _, prod = lhv._linear_outcome_law(pairs)
+        lam = model.sample_lambda(np.random.default_rng(66), 2000)
+        per_draw = np.column_stack([model.response_a(x, lam) * model.response_b(y, lam) for x, y in pairs])
+        np.testing.assert_array_equal(prod[linear_pattern_index(model, lam)], per_draw)
+
+    @pytest.mark.parametrize("n", [1000, MULTI_BLOCK_N])
+    def test_error_is_deviation_of_the_combination(self, n):
+        # The per-draw products rebuilt from the drawn pattern counts.
+        rng = np.random.default_rng(37)
+        for seed in range(3):
+            s = random_settings(rng)
+            est = chsh_lhv(AveragedLinearModel(), s, n, seed=seed)
+            p, prod = lhv._linear_outcome_law(s.pairs())
+            draws = np.repeat(prod, np.random.default_rng(seed).multinomial(n, p), axis=0).astype(float)
+            ab, abp, apb, apbp = draws.T
+            s_x = 1.0 if est.e_ab.value >= est.e_abp.value else -1.0
+            s_y = 1.0 if est.e_apbp.value + est.e_apb.value >= 0.0 else -1.0
+            combination = s_x * (ab - abp) + s_y * (apbp + apb)
+            assert est.value == pytest.approx(combination.mean(), abs=1e-12)
+            assert abs(est.std_error - np.std(combination, ddof=1) / math.sqrt(n)) <= 1e-12
+            for e, xy in zip(est.correlations(), draws.T):
+                assert e.n_samples == n
+                assert e.value == pytest.approx(xy.mean(), abs=1e-12)
+                assert abs(e.std_error - np.std(xy, ddof=1) / math.sqrt(n)) <= 1e-12
+
+    def test_estimates_agree_with_sampled_outcomes(self):
+        # The same +-1 statistics, so the estimates and their errors agree.
+        rng = np.random.default_rng(67)
+        quadruples = [gisin_settings(INV_SQRT2, INV_SQRT2)] + [random_settings(rng) for _ in range(9)]
+        for seed, s in enumerate(quadruples):
+            est = chsh_lhv(AveragedLinearModel(), s, 50_000, seed=seed)
+            ref = chsh_lhv(SampledLinearOutcomes(s.pairs()), s, 50_000, seed=100 + seed)
+            assert abs(est.value - ref.value) <= 5.0 * math.hypot(est.std_error, ref.std_error)
+            assert abs(est.std_error - ref.std_error) <= 0.05 * ref.std_error
+            for e, r in zip(est.correlations(), ref.correlations()):
+                assert abs(e.value - r.value) <= 5.0 * math.hypot(e.std_error, r.std_error)
+            a, b = s.a, s.b
+            est = estimate_correlation(AveragedLinearModel(), a, b, 400_000, seed=seed)
+            ref = estimate_correlation(SampledLinearOutcomes(((a, b),)), a, b, 400_000, seed=100 + seed)
+            assert abs(est.value - ref.value) <= 5.0 * math.hypot(est.std_error, ref.std_error)
+            assert abs(est.value - exact_linear_correlations(((a, b),))[0]) <= 5.0 * est.std_error
+
+    def test_draws_no_hidden_variable_at_any_sample_count(self, monkeypatch):
+        def refuse(self, rng, n=1):
+            raise AssertionError("drew hidden variables")
+
+        monkeypatch.setattr(AveragedLinearModel, "sample_lambda", refuse)
+        rng = np.random.default_rng(68)
+        for seed, n in enumerate([2 ** 53 + 1, 2 ** 63 - 1]):
+            s = random_settings(rng)
+            est = chsh_lhv(AveragedLinearModel(), s, n, seed=seed)
+            assert est.value <= 2.0
+            assert all(e.n_samples == n for e in est.correlations())
+            for e, exact in zip(est.correlations(), exact_linear_correlations(s.pairs())):
+                assert abs(e.value - exact) <= 5.0 * e.std_error
+            with pytest.raises(PreconditionError):
+                bell1964_check(AveragedLinearModel(), s.a, s.b, s.b_prime, n, seed=seed)
+
+
 class TestBell1964:
     def test_coplanar_triple_holds(self):
         rng = np.random.default_rng(34)
@@ -789,7 +932,7 @@ WORKSPACE_SIZES = [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, MULTI_BLOCK_N]
 
 
 class TestSamplingWorkspace:
-    """AveragedLinearModel's workspace route against the allocating ``sample_lambda`` route."""
+    """A subclass of AveragedLinearModel, on the sampling route, against the allocating sampler."""
 
     @pytest.mark.parametrize("n", WORKSPACE_SIZES)
     def test_sums_and_moments_bit_identical(self, n):
@@ -797,14 +940,14 @@ class TestSamplingWorkspace:
         for seed in range(3):
             s = random_settings(rng)
             for pairs in (((s.a, s.b),), s.pairs(), bell1964_pairs(s.a, s.b, s.b_prime)):
-                got = lhv._shared_stream_sums(AveragedLinearModel(), pairs, n, seed)
+                got = lhv._shared_stream_sums(SubclassedAveragedLinear(), pairs, n, seed)
                 want = lhv._shared_stream_sums(SampledAveragedLinear(), pairs, n, seed)
                 assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
     @pytest.mark.parametrize("n", WORKSPACE_SIZES)
     def test_estimates_bit_identical(self, n):
         rng = np.random.default_rng(59)
-        new, old = AveragedLinearModel(), SampledAveragedLinear()
+        new, old = SubclassedAveragedLinear(), SampledAveragedLinear()
         for seed in range(3):
             s = random_settings(rng)
             got, want = (chsh_lhv(model, s, n, seed=seed) for model in (new, old))
@@ -828,20 +971,9 @@ class TestSamplingWorkspace:
         for seed in range(5):
             want = allocating_sample_sphere(ShortFirstRound(seed, keep), n)
             rng = ShortFirstRound(seed, keep)
-            got = lhv._sample_sphere(rng, n, lhv._sphere_work(_BLOCK))
+            got = lhv._sample_sphere(rng, n)
             assert rng.requests >= 2
             assert same_bits(got, want)
-            assert same_bits(lhv._sample_sphere(ShortFirstRound(seed, keep), n), want)
-
-    def test_draws_are_views_of_one_buffer(self):
-        rng = np.random.default_rng(60)
-        work = lhv._sphere_work(_BLOCK)
-        first = lhv._sample_sphere(rng, 100, work)
-        second = lhv._sample_sphere(rng, 100, work)
-        assert np.shares_memory(first, second)
-        assert same_bits(first, second)  # the second draw overwrote the first
-        # Without a workspace every draw is a fresh array.
-        assert not np.shares_memory(lhv._sample_sphere(rng, 100), lhv._sample_sphere(rng, 100))
 
     def test_only_the_exact_class_skips_sample_lambda(self, monkeypatch):
         draws = []
