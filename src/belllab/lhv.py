@@ -41,46 +41,24 @@ _MAX_COUNT = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
 
 
 def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n points uniform on the unit sphere by Marsaglia's disc method.
+    """n points uniform on the unit sphere by Marsaglia's disc method, from the generator's state and n.
 
-    Pairs (u, v) uniform on [-1, 1]^2 are kept, in draw order, while
-    s = u^2 + v^2 < 1; each maps to (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s),
-    which is exactly uniform on the sphere with no trigonometric call
-    (G. Marsaglia, Ann. Math. Stat. 43, 645 (1972)).  A round draws about
-    1.31 k + 64 pairs for the k points still missing; pi/4 of them land in
-    the disc, so one round almost always fills the block, and later rounds
-    reuse the first round's workspace.  The doubles are those of
-    ``rng.uniform(-1, 1)``, as 2d - 1 from ``rng.random``, so the points
-    depend only on the generator's state and n.
+    Pairs (u, v) uniform on [-1, 1]^2 are kept, in draw order, while s = u^2 + v^2 < 1; each maps
+    to (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s), exactly uniform on the sphere (G. Marsaglia, Ann.
+    Math. Stat. 43, 645 (1972)).  A round of about 1.31 k + 64 pairs, pi/4 of them in the disc,
+    almost always fills the k points still missing.
     """
     out = np.empty((3, n))
     done = 0
     while done < n:
         k = n - done
-        size = k + k // 4 + k // 16 + 64
-        if not done:
-            draws, w, accept = np.empty(3 * size), np.empty(size), np.empty(size, dtype=bool)
-        uvs = draws[:3 * size].reshape(3, size)
-        u, v, s = uvs
-        rng.random(out=uvs[:2])
-        uvs[:2] *= 2.0
-        uvs[:2] -= 1.0
-        np.multiply(u, u, out=s)
-        np.multiply(v, v, out=w[:size])
-        s += w[:size]
-        kept = np.flatnonzero(np.less(s, 1.0, out=accept[:size]))[:k]
-        m = len(kept)
-        x, y, z = out[:, done:done + m]
-        for row, dst in zip(uvs, (x, y, z)):
-            np.take(row, kept, out=dst, mode="clip")
-        f = w[:m]
-        np.subtract(1.0, z, out=f)
-        np.sqrt(f, out=f)
-        f *= 2.0
-        x *= f
-        y *= f
-        z *= 2.0
-        np.subtract(1.0, z, out=z)
+        uv = rng.uniform(-1.0, 1.0, (2, k + k // 4 + k // 16 + 64))
+        uv = np.compress(uv[0] * uv[0] + uv[1] * uv[1] < 1.0, uv, axis=1)[:, :k]
+        u, v = uv
+        s = u * u + v * v
+        m = len(s)
+        np.multiply(uv, 2.0 * np.sqrt(1.0 - s), out=out[:2, done:done + m])
+        np.subtract(1.0, 2.0 * s, out=out[2, done:done + m])
         done += m
     return out.T
 
@@ -267,6 +245,8 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     check_integer("sample count", n)
     if not 1 <= n <= _MAX_COUNT:
         raise ValueError("sample count must be in [1, 2**63 - 1]")
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     law = _EXACT_LAWS.get(type(model))
     if law is not None:

@@ -241,9 +241,10 @@ def reference_sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 
 # ------------------------------------------------ allocating disc sampler
 #
-# lhv._sample_sphere before it drew into a reusable workspace: every round
-# allocates its draws, its accepted columns and each arithmetic step anew.
-# Kept as the bit-identity oracle of the workspace route.
+# lhv._sample_sphere as its sampled streams were fixed: every round allocates
+# its draws, its accepted columns and each arithmetic step anew.  No golden
+# file covers the streams of subclasses and user models, so this frozen copy
+# is their bit-identity oracle.
 
 
 def allocating_sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:

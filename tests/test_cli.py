@@ -562,9 +562,12 @@ class TestNegativeSeed:
         ["agr", "--pairs", "1000"],
     ])
     def test_exit_2(self, capsys, monkeypatch, argv):
-        assert run_cli(capsys, *argv, "--seed", "-1")[:2] == (2, "")
+        # lhv used to print numpy's "expected non-negative integer", naming no input.
+        rc, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (rc, out) == (2, "") and "seed must be a non-negative integer" in err
         monkeypatch.setenv("BELLLAB_SEED", "-1")
-        assert run_cli(capsys, *argv)[:2] == (2, "")
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "") and "seed must be a non-negative integer" in err
 
 
 class TestHelpAndReadme:

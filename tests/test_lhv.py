@@ -112,6 +112,15 @@ class SubclassedAveragedLinear(AveragedLinearModel):
     """AveragedLinearModel's own methods on the sampling route, which its subclasses take."""
 
 
+class SubclassedBellSign(BellSignModel):
+    """BellSignModel's own methods on the sampling route, which its subclasses take."""
+
+
+# The built-in models, which draw pattern counts, and a subclass of each, which samples.
+MEMORY_MODELS = {**BUILTIN_MODELS, "subclassed bell-sign": SubclassedBellSign,
+                 "subclassed averaged-linear": SubclassedAveragedLinear}
+
+
 class NoDrawModel(ConstantModel):
     """Fails on any hidden-variable draw."""
 
@@ -147,9 +156,9 @@ def shared_draws(model, n, seed):
 
 
 SAMPLE_COUNT_CALLS = {
-    "estimate_correlation": lambda model, n: estimate_correlation(model, Z, Z, n, seed=0),
-    "chsh_lhv": lambda model, n: chsh_lhv(model, gisin_settings(INV_SQRT2, INV_SQRT2), n, seed=0),
-    "bell1964_check": lambda model, n: bell1964_check(model, Z, Z, Z, n, seed=0),
+    "estimate_correlation": lambda model, n, seed=0: estimate_correlation(model, Z, Z, n, seed=seed),
+    "chsh_lhv": lambda model, n, seed=0: chsh_lhv(model, gisin_settings(INV_SQRT2, INV_SQRT2), n, seed=seed),
+    "bell1964_check": lambda model, n, seed=0: bell1964_check(model, Z, Z, Z, n, seed=seed),
 }
 
 
@@ -172,6 +181,17 @@ class TestSampleCountValidation:
 
     def test_numpy_integer_accepted(self, name):
         SAMPLE_COUNT_CALLS[name](BellSignModel(), np.int64(10))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_COUNT_CALLS))
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_negative_seed_rejected_before_any_draw(self, name, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            SAMPLE_COUNT_CALLS[name](NoDrawModel(), 10, seed)
+
+    def test_seed_sequence_accepted(self, name):
+        SAMPLE_COUNT_CALLS[name](BellSignModel(), 10, np.random.SeedSequence(3))
 
 
 class TestCorrelationEstimateValidation:
@@ -338,13 +358,14 @@ class TestChshLhv:
 
     @pytest.mark.parametrize("n", [1, 2, 3, MULTI_BLOCK_N])
     def test_local_bound_holds_exactly(self, n):
-        # +-1 responses give integer sums, so S <= 2 with no tolerance;
-        # bounded real responses reach it up to float rounding.
+        # The built-in models' pattern counts give integer sums, so S <= 2
+        # with no tolerance; sampled bounded real responses reach it up to
+        # float rounding.
         rng = np.random.default_rng(39)
         for seed in range(200):
             s = random_settings(rng)
             assert chsh_lhv(BellSignModel(), s, n, seed=seed).value <= 2.0
-            assert chsh_lhv(AveragedLinearModel(), s, n, seed=seed).value <= 2.0 + 1e-12
+            assert chsh_lhv(AveragedLinearModel(), s, n, seed=seed).value <= 2.0
             assert chsh_lhv(SampledAveragedLinear(), s, n, seed=seed).value <= 2.0 + 1e-12
 
     @pytest.mark.parametrize("case", ["a=a'=b=b'", "a=a', b=b'", "a=a'=b, b'=-b"])
@@ -379,13 +400,14 @@ class TestChshLhv:
         assert spy.seen_a == [s.a, s.a_prime] * 3
         assert spy.seen_b == [s.b, s.b_prime] * 3
 
-    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    @pytest.mark.parametrize("name", sorted(MEMORY_MODELS))
     def test_memory_stays_within_blocks(self, name):
-        # Whole-run or 2**20-sample blocks would peak near 60 MiB here.
+        # Whole-run or 2**20-sample blocks would peak near 60 MiB here; the
+        # subclasses take the sampled route, which draws in blocks.
         settings = gisin_settings(INV_SQRT2, INV_SQRT2)
         tracemalloc.start()
         try:
-            chsh_lhv(BUILTIN_MODELS[name](), settings, 1_000_000, seed=9)
+            chsh_lhv(MEMORY_MODELS[name](), settings, 1_000_000, seed=9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -784,6 +806,18 @@ class TestLinearOutcomeLaw:
             with pytest.raises(PreconditionError):
                 bell1964_check(AveragedLinearModel(), s.a, s.b, s.b_prime, n, seed=seed)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+    def test_few_minor_faults_per_estimate(self):
+        # Guards the exact route only: it makes no block-sized array, while a
+        # subclass on the sampled route takes about 7,000-9,000 faults here.
+        import resource
+
+        settings = gisin_settings(INV_SQRT2, INV_SQRT2)
+        chsh_lhv(AveragedLinearModel(), settings, 1_000_000, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        chsh_lhv(AveragedLinearModel(), settings, 1_000_000, seed=1)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
 
 class TestBell1964:
     def test_coplanar_triple_holds(self):
@@ -905,7 +939,7 @@ class ShortFirstRound:
     Every double of the first request past column ``keep`` is 0.99, which
     maps to u = v = 0.98, outside the disc; later requests pass the seeded
     stream through.  It serves ``uniform`` as low + (high - low) * d, as
-    numpy does, and ``random(out=...)``, so both samplers see the same doubles.
+    numpy does, so both samplers see the same doubles.
     """
 
     def __init__(self, seed, keep):
@@ -922,10 +956,6 @@ class ShortFirstRound:
 
     def uniform(self, low, high, size):
         return low + (high - low) * self._doubles(size)
-
-    def random(self, out):
-        out[...] = self._doubles(out.shape)
-        return out
 
 
 WORKSPACE_SIZES = [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, MULTI_BLOCK_N]
@@ -991,14 +1021,3 @@ class TestSamplingWorkspace:
         assert draws == []
         chsh_lhv(Subclass(), s, _BLOCK + 1, seed=0)
         assert draws == [_BLOCK, 1]
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
-    def test_few_minor_faults_per_estimate(self):
-        # Fresh sampler arrays in every block took about 9,300 minor faults here.
-        import resource
-
-        settings = gisin_settings(INV_SQRT2, INV_SQRT2)
-        chsh_lhv(AveragedLinearModel(), settings, 1_000_000, seed=0)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        chsh_lhv(AveragedLinearModel(), settings, 1_000_000, seed=1)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000

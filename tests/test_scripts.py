@@ -1,8 +1,6 @@
 """Smoke tests: each experiment script runs at a small size and exits 0, the
-LHV script's local columns stay in [0, 2], the scan script takes C = 0 and rejects out-of-range inputs with exit 2, the
-per-call harness times every function in this tree, and the README's Python
-API sketch runs as written."""
-import importlib.util
+LHV script's local columns stay in [0, 2], the scan script takes C = 0 and rejects out-of-range inputs with exit 2,
+and the README's Python API sketch runs as written."""
 import os
 import pathlib
 import re
@@ -20,7 +18,6 @@ ROOT = pathlib.Path(__file__).parents[1]
     ("lhv_vs_quantum.py", ["--samples", "2000"]),
     ("run_agr_experiment.py", ["--pairs", "2000"]),
     ("scan_violation_regions.py", ["--grid", "16", "--out-dir", "{tmp}"]),
-    ("bench_exact_path.py", ["--help"]),
 ])
 def test_script_runs(tmp_path, script, args):
     done = run_script(tmp_path, script, *(a.format(tmp=tmp_path) for a in args))
@@ -80,13 +77,3 @@ def test_readme_api_sketch_runs():
     assert bl.chsh_value(namespace["state"], namespace["settings"]) > 2.0
     assert namespace["est"].value <= 2.0
     assert bl.estimate_S(namespace["cfg"]).s_value == pytest.approx(-2.70, abs=0.01)
-
-
-def test_bench_exact_path_times_every_function():
-    # --help alone leaves the harness's child program untested.
-    spec = importlib.util.spec_from_file_location("bench_exact_path", ROOT / "scripts" / "bench_exact_path.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    times = bench.time_tree(str(ROOT / "src"))
-    assert sorted(times) == sorted(bench.FUNCTIONS)
-    assert all(times[name] > 0.0 for name in bench.FUNCTIONS)
