@@ -27,7 +27,6 @@ from .algebra import (
 from .chsh import (
     JointProbabilities,
     MeasurementSettings,
-    SeparableStateError,
     chsh_combination,
     chsh_value,
     chsh_value_symmetric,

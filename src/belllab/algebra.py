@@ -111,15 +111,12 @@ def check_normalized(c1: float, c2: float, tol: float = 1e-9) -> float:
     return n2
 
 
-def canonical_state(c1: float, c2: float, permissive: bool = False) -> TwoQubitState:
+def canonical_state(c1: float, c2: float) -> TwoQubitState:
     """State c1|01> + c2|10> with real signed coefficients, c1^2 + c2^2 = 1.
 
-    Rejects the separable limit c1*c2 = 0 unless ``permissive`` is set.
+    At c1*c2 = 0 it is the product state |01> or |10>.
     """
-    n2 = check_normalized(c1, c2)
-    if not permissive and c1 * c2 == 0.0:
-        raise ValueError("separable state (c1*c2 = 0); pass permissive=True to allow")
-    n = math.sqrt(n2)
+    n = math.sqrt(check_normalized(c1, c2))
     return TwoQubitState(np.array([0.0, c1 / n, c2 / n, 0.0], dtype=complex))
 
 
@@ -211,7 +208,8 @@ def schmidt_decompose(state: TwoQubitState) -> SchmidtForm:
         else:
             vh[1, :] *= rel
 
-    return SchmidtForm(c1=float(s[0]), c2=float(s[1]), sign=sign, basis_a=u, basis_b=vh.T)
+    # + 0.0 clears the sign of a zero singular value, which LAPACK may return as -0.0.
+    return SchmidtForm(c1=float(s[0]), c2=float(s[1]) + 0.0, sign=sign, basis_a=u, basis_b=vh.T)
 
 
 def concurrence(form: SchmidtForm) -> float:

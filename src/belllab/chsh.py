@@ -20,10 +20,6 @@ from .algebra import (
 )
 
 
-class SeparableStateError(ValueError):
-    """The state admits a local model; the requested construction needs entanglement."""
-
-
 @dataclass(frozen=True)
 class MeasurementSettings:
     """Analyzer quadruple (a, b, a', b') entering the CHSH functional."""
@@ -132,11 +128,11 @@ def gisin_settings(c1: float, c2: float) -> MeasurementSettings:
     All four vectors lie in the xz-plane: a = z, a' = (+-1, 0, 0) with the
     sign of c1*c2, and b, b' chosen so cos(beta) = -cos(beta') =
     (1 + 4(c1*c2)^2)^(-1/2) with both sines positive (beta' in (pi/2, pi)).
+    At c1*c2 = 0 this gives a = b = z, a' = (copysign(1, c1*c2), 0, 0) and
+    b' = -z, which attain S = 2 = max_violation(c1, c2), the local bound.
     """
     check_normalized(c1, c2)
     prod = c1 * c2
-    if prod == 0.0:
-        raise SeparableStateError("c1*c2 = 0: separable state cannot violate the bound")
     denom = math.sqrt(1.0 + 4.0 * prod * prod)
     cos_b = 1.0 / denom
     sin_b = 2.0 * abs(prod) / denom

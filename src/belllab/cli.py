@@ -193,7 +193,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     if args.c1 is None or args.c2 is None:
         raise ValueError("both --c1 and --c2 are required")
     c1, c2 = _normalize_pair(args.c1, args.c2)
-    state = canonical_state(c1, c2, permissive=args.permissive)
+    state = canonical_state(c1, c2)
 
     settings = _settings(args, (args.c1, args.c2) if args.gisin else None, "--gisin")
 
@@ -271,7 +271,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
 
 def cmd_agr(args: argparse.Namespace) -> int:
     c1, c2 = _normalize_pair(args.c1, args.c2)
-    state = canonical_state(c1, c2, permissive=True)
+    state = canonical_state(c1, c2)
     angles = {
         key: math.radians(deg) if getattr(args, key) is None
         else _to_radians(getattr(args, key), args.radians)
@@ -338,11 +338,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         c1, c2 = math.cos(t), math.sin(t)
         a = make_unit_vector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         b = make_unit_vector(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        diff = abs(
-            correlation_closed(c1, c2, a, b)
-            - correlation_matrix(canonical_state(c1, c2, permissive=True), a, b)
-        )
-        worst = max(worst, diff)
+        state = canonical_state(c1, c2)
+        worst = max(worst, abs(correlation_closed(c1, c2, a, b) - correlation_matrix(state, a, b)))
     rows.append(("closed-vs-matrix", worst < 1e-12, f"(max |diff| = {worst:.3g})"))
 
     settings = gisin_settings(SINGLET_C1, SINGLET_C1)
@@ -418,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
     p.add_argument("--gisin", action="store_true", help="use the maximizing analyzer quadruple")
-    p.add_argument("--permissive", action="store_true",
-                   help="accept the separable limit c1*c2 = 0")
     _add_angle_flags(p)
 
     p = command("scan", cmd_scan, "violation-region grid scan (CSV/JSON export)", ("csv", "json"))

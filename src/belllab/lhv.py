@@ -245,8 +245,10 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     check_integer("sample count", n)
     if not 1 <= n <= _MAX_COUNT:
         raise ValueError("sample count must be in [1, 2**63 - 1]")
-    if isinstance(seed, numbers.Integral) and seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    if not isinstance(seed, np.random.SeedSequence):
+        check_integer("seed", seed)
+        if seed < 0:
+            raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     law = _EXACT_LAWS.get(type(model))
     if law is not None:

@@ -293,7 +293,7 @@ class TestEstimateS:
 
     def test_product_state_obeys_local_bound(self):
         cfg = ExperimentConfig(
-            state=canonical_state(1.0, 0.0, permissive=True),
+            state=canonical_state(1.0, 0.0),
             settings=OPTIMAL,
             n_pairs=200_000,
             seed=3,

@@ -173,12 +173,8 @@ class TestCanonicalState:
         form = schmidt_decompose(s)
         assert form.sign == -1
 
-    def test_separable_rejected_by_default(self):
-        with pytest.raises(ValueError):
-            canonical_state(1.0, 0.0)
-
-    def test_separable_allowed_permissive(self):
-        s = canonical_state(1.0, 0.0, permissive=True)
+    def test_separable_allowed(self):
+        s = canonical_state(1.0, 0.0)
         np.testing.assert_array_equal(s.amplitudes, [0.0, 1.0, 0.0, 0.0])
 
     def test_bad_normalization_rejected(self):
@@ -192,7 +188,7 @@ class TestCanonicalCoefficients:
     def test_concurrence_roundtrip(self, conc, sign):
         c1, c2 = canonical_coefficients(conc, sign)
         assert c1 >= abs(c2) and math.copysign(1.0, c2) == sign
-        form = schmidt_decompose(canonical_state(c1, c2, permissive=True))
+        form = schmidt_decompose(canonical_state(c1, c2))
         assert concurrence(form) == pytest.approx(conc, abs=1e-12)
 
     @pytest.mark.parametrize("conc, sign", [(1.1, 1), (-0.1, 1), (math.nan, 1), (0.5, 0), (0.5, 2)])
@@ -250,6 +246,14 @@ class TestSchmidtDecompose:
         assert form.c1 == pytest.approx(1.0, abs=1e-12)
         assert form.c2 == pytest.approx(0.0, abs=1e-12)
         assert form.c2 <= ENTANGLEMENT_TOL
+
+    # LAPACK gives canonical_state(-1.0, 0.0) the singular values [1., -0.], which printed concurrence=-0.
+    @pytest.mark.parametrize("c1, c2", [(x, y) for one in (1.0, -1.0) for zero in (0.0, -0.0)
+                                        for x, y in ((one, zero), (zero, one))])
+    def test_separable_zero_is_positive(self, c1, c2):
+        form = schmidt_decompose(canonical_state(c1, c2))
+        assert math.copysign(1.0, form.c2) == 1.0
+        assert math.copysign(1.0, concurrence(form)) == 1.0
 
     def test_coefficients_match_closed_form_oracle(self):
         rng = np.random.default_rng(5)

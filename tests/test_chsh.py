@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belllab import (
+    BellSignModel,
     JointProbabilities,
-    SeparableStateError,
     TwoQubitState,
     UnitVector3,
+    canonical_coefficients,
     canonical_state,
     chsh_combination,
+    chsh_lhv,
     chsh_value,
     chsh_value_symmetric,
     correlation_closed,
@@ -366,13 +368,29 @@ class TestGisinSettings:
             assert s.b.x > 0.0 and s.b_prime.x > 0.0
             assert s.b.z > 0.0 > s.b_prime.z  # beta' in (pi/2, pi)
 
-    def test_separable_rejected(self):
-        with pytest.raises(SeparableStateError):
-            gisin_settings(1.0, 0.0)
-
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             gisin_settings(0.9, 0.9)
+
+    # The whole entanglement axis, concurrence 0 (product states, signed zeros included) to 1.
+    @given(st.floats(0.0, 1.0), st.sampled_from([1, -1]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example(0.0, 1, False, 0)
+    @example(0.0, -1, True, 1)
+    @example(1.0, -1, False, 2)
+    @settings(max_examples=100, deadline=None)
+    def test_attains_max_violation_on_whole_axis(self, conc, sign, swap, seed):
+        c1, c2 = canonical_coefficients(conc, sign)
+        if swap:  # c1 = +-0.0 as well
+            c1, c2 = c2, c1
+        s = gisin_settings(c1, c2)
+        bound = max_violation(c1, c2)
+        assert chsh_value(canonical_state(c1, c2), s) == pytest.approx(bound, abs=1e-12)
+        assert bound >= 2.0
+        if c1 * c2 == 0.0:
+            assert bound == 2.0
+        else:  # above 2 wherever 4*(c1*c2)^2 survives the rounding of 1 + 4*(c1*c2)^2
+            assert bound > 2.0 or abs(c1 * c2) < 1e-7
+        assert chsh_lhv(BellSignModel(), s, 1_000_000, seed).value <= 2.0
 
 
 class TestMaxViolation:

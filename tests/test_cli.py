@@ -66,10 +66,12 @@ class TestChshCommand:
         assert set(payload["P"]) == {"ab", "ab_prime", "a_prime_b", "a_prime_b_prime"}
         assert payload["settings"]["b"]["theta"]["deg"] == pytest.approx(45.0, abs=1e-6)
 
-    def test_separable_with_gisin_fails(self, capsys):
-        rc, _, err = run_cli(capsys, "chsh", "--c1", "1", "--c2", "0", "--permissive", "--gisin")
-        assert rc == 2
-        assert "separable" in err
+    def test_separable_with_gisin_meets_local_bound(self, capsys):
+        rc, out, _ = run_cli(capsys, "chsh", "--c1", "1", "--c2", "0", "--gisin", "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["S"] == 2.0 == payload["max_violation"]
+        assert payload["violated"] is False
 
     def test_partial_entanglement_value(self, capsys):
         rc, out, _ = run_cli(
@@ -432,6 +434,14 @@ class TestConfigFile:
         assert "sampels" in err
         assert out == ""
 
+    def test_permissive_key_exit_2(self, capsys, tmp_path):
+        # chsh accepts the separable limit without a switch, so the key is gone.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c1 = 1\nc2 = 0\ngisin = true\npermissive = false\n")
+        rc, out, err = run_cli(capsys, "chsh", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert f"{cfg}: no chsh option named permissive" in err
+
     @pytest.mark.parametrize("text, key", [("pairs = 10\npairs = 2000\n", "pairs"),
                                            ("a-prime = 90\na_prime = 80\n", "a_prime")])
     def test_duplicate_key_exit_2(self, capsys, tmp_path, text, key):
@@ -476,7 +486,7 @@ class TestConfigFile:
          ""),
         (["scan", "--plane", "xz", "--concurrence", "0.9", "--sign", "-1", "--grid", "32"], ""),
         (["chsh", "--c1", "0.6", "--c2", "-0.8", "--alpha", "0", "--alpha-prime", "90",
-          "--beta", "45", "--beta-prime", "135"], "gisin = false\npermissive = false\n"),
+          "--beta", "45", "--beta-prime", "135"], "gisin = false\n"),
     ])
     def test_config_matches_flags(self, capsys, tmp_path, argv, extra):
         cfg = tmp_path / "run.cfg"

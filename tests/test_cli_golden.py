@@ -5,7 +5,8 @@ stores its exit code, stdout, stderr and every file it wrote in
 ``tests/golden/<case>.json``, each text split into lines so that a diff
 shows the line that moved.  The cases are the README's six commands (``scan``
 at grid 16), every subcommand in each ``--format`` it accepts with and
-without ``--out``, and two usage errors (exit 2).
+without ``--out``, the separable end of the entanglement axis (concurrence 0,
+where S meets the local bound 2), and two usage errors (exit 2).
 
 A deliberate change to a report is made by rewriting the goldens from the
 same case table and reviewing their diff; the rewrite first names the cases
@@ -48,6 +49,11 @@ FORMATS = {
     "agr": (["agr", "--pairs", "100000", "--seed", "9", "--efficiency", "0.8", "--misalignment-sigma", "0.1"],
             ("text", "json", "csv")),
 }
+# Concurrence 0: Gisin's quadruple attains S = 2 exactly, and the local model stays at 2.
+SEPARABLE = {
+    "chsh_separable": ["chsh", "--c1", "-1", "--c2", "0", "--gisin"],
+    "lhv_separable": ["lhv", "--gisin-for", "1", "0", "--samples", "1000000", "--seed", "5", "--format", "json"],
+}
 ERRORS = {
     "error_chsh_unnormalised": ["chsh", "--c1", "0.9", "--c2", "0.9", "--gisin"],
     "error_lhv_zero_samples": ["lhv", "--samples", "0", "--gisin-for", "0.7071068", "0.7071068"],
@@ -58,6 +64,7 @@ for command, (argv, formats) in FORMATS.items():
     for fmt in formats:
         CASES[f"{command}_{fmt}"] = [*argv, "--format", fmt]
         CASES[f"{command}_{fmt}_out"] = [*argv, "--format", fmt, "--out", f"report.{fmt}"]
+CASES.update(SEPARABLE)
 CASES.update(ERRORS)
 
 

@@ -193,6 +193,16 @@ class TestSeedValidation:
     def test_seed_sequence_accepted(self, name):
         SAMPLE_COUNT_CALLS[name](BellSignModel(), 10, np.random.SeedSequence(3))
 
+    # True used to run as seed 1, None from OS entropy (so two equal calls differed), [1, 2] as a seed list.
+    @pytest.mark.parametrize("seed", [True, None, 2.0, [1, 2]])
+    def test_non_integer_seed_rejected_before_any_draw(self, name, seed):
+        with pytest.raises(TypeError, match="^seed must be an integer, not "):
+            SAMPLE_COUNT_CALLS[name](NoDrawModel(), 10, seed)
+
+    def test_numpy_integer_seed_accepted(self, name):
+        call = SAMPLE_COUNT_CALLS[name]
+        assert call(BellSignModel(), 10, np.int64(3)) == call(BellSignModel(), 10, 3)
+
 
 class TestCorrelationEstimateValidation:
     # NaN used to pass every check: CorrelationEstimate(0.5, nan, 5) constructed.
