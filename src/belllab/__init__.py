@@ -25,6 +25,8 @@ from .algebra import (
     tensor_observable,
 )
 from .chsh import (
+    CorrelationEstimate,
+    Correlators,
     JointProbabilities,
     MeasurementSettings,
     chsh_combination,
@@ -41,8 +43,6 @@ from .lhv import (
     AveragedLinearModel,
     Bell1964Result,
     BellSignModel,
-    ChshEstimate,
-    CorrelationEstimate,
     PreconditionError,
     bell1964_check,
     chsh_lhv,
@@ -53,7 +53,6 @@ from .agr import (
     ExperimentConfig,
     ExperimentReport,
     InsufficientDataError,
-    SEstimate,
     estimate_E,
     estimate_S,
     misalignment_for_damping,

@@ -9,7 +9,9 @@ probability efficiency^2 * p_ij.  The experimental correlation estimator is
 
     E = (R++ + R-- - R+- - R-+) / (R++ + R-- + R+- + R-+)
 
-and S = E(a,b) - E(a,b') + E(a',b) + E(a',b') combines the four runs.
+and S = E(a,b) - E(a,b') + E(a',b) + E(a',b') combines the four runs.  The
+report keeps the counts and one ``chsh.Correlators`` record of the four E's as integer
+fractions with the diagonal covariance (1 - E^2)/total, so S and its error are rounded once.
 
 Misalignment is a pointing error per pair: each side's effective orientation
 is the nominal one rotated by an angle drawn from N(0, sigma) about a
@@ -26,13 +28,14 @@ leaves E unbiased under fair sampling; it only widens the error bars).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import TwoQubitState, UnitVector3, check_integer, correlation_tensor
-from .chsh import JointProbabilities, MeasurementSettings, born_probabilities, chsh_combination
-from .lhv import _MAX_COUNT, CorrelationEstimate
+from .chsh import CorrelationEstimate, Correlators, JointProbabilities, MeasurementSettings, born_probabilities
+from .lhv import _MAX_COUNT
 
 
 class InsufficientDataError(ValueError):
@@ -84,6 +87,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n_pairs", "seed"):
             check_integer(name, getattr(self, name))
+        for name, value in (("efficiency", self.efficiency), ("misalignment_sigma", self.misalignment_sigma)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
         if not (1 <= self.n_pairs <= _MAX_COUNT):
             raise ValueError("n_pairs must be in [1, 2**63 - 1]")
         if not (0.0 < self.efficiency <= 1.0):
@@ -95,20 +101,11 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class SEstimate:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') with quadrature-combined error."""
-
-    s_value: float
-    std_error: float
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
-    """Counts, per-pair correlation estimates, and the combined S for one run."""
+    """Counts of the four orientation pairs and their correlations, combined as the signed S."""
 
     counts: tuple[CoincidenceCounts, ...]
-    correlations: tuple[CorrelationEstimate, ...]
-    s: SEstimate
+    s: Correlators
 
 
 def misalignment_for_damping(damping: float) -> float:
@@ -149,30 +146,30 @@ def simulate_run(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3, stream: 
     return CoincidenceCounts(*(int(c) for c in recorded), n_pairs=cfg.n_pairs)
 
 
+def _correlators(counts) -> Correlators:
+    """Each run's E = num / total, independent, with variance (1 - E^2) / total = (total^2 - num^2) / total^3."""
+    totals = [c.total() for c in counts]
+    if 0 in totals:
+        raise InsufficientDataError("all coincidence counts are zero")
+    nums = [c.r_pp + c.r_mm - c.r_pm - c.r_mp for c in counts]
+    d = math.lcm(*totals)
+    var = [(t * t - x * x) * (d // t) ** 3 for x, t in zip(nums, totals)]
+    cov = tuple(tuple(v if i == j else 0 for j in range(len(var))) for i, v in enumerate(var))
+    return Correlators(tuple(nums), tuple(totals), cov, d ** 3, "signed")
+
+
 def estimate_E(c: CoincidenceCounts) -> CorrelationEstimate:
     """Correlation (R++ + R-- - R+- - R-+) / total with multinomial delta-method error."""
-    total = c.total()
-    if total == 0:
-        raise InsufficientDataError("all coincidence counts are zero")
-    value = (c.r_pp + c.r_mm - c.r_pm - c.r_mp) / total
-    se = math.sqrt(max(0.0, 1.0 - value * value) / total)
-    return CorrelationEstimate(value=value, std_error=se, n_samples=total)
+    return _correlators((c,)).correlations()[0]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Simulate the four orientation pairs and assemble counts, E's, and S."""
+    """Simulate the four orientation pairs and assemble their counts and correlations."""
     pairs = cfg.settings.pairs()
     counts = tuple(simulate_run(cfg, a, b, stream=i) for i, (a, b) in enumerate(pairs))
-    estimates = tuple(estimate_E(c) for c in counts)
-    s_value = chsh_combination([est.value for est in estimates], "signed")
-    se = math.sqrt(sum(est.std_error ** 2 for est in estimates))
-    return ExperimentReport(
-        counts=counts,
-        correlations=estimates,
-        s=SEstimate(s_value=s_value, std_error=se),
-    )
+    return ExperimentReport(counts=counts, s=_correlators(counts))
 
 
-def estimate_S(cfg: ExperimentConfig) -> SEstimate:
-    """S estimate for the configured analyzer quadruple."""
+def estimate_S(cfg: ExperimentConfig) -> Correlators:
+    """The four correlations and the signed S for the configured analyzer quadruple."""
     return run_experiment(cfg).s

@@ -158,6 +158,8 @@ class SchmidtForm:
     basis_b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        # + 0.0 clears the sign of a zero c2, which LAPACK may return as -0.0.
+        object.__setattr__(self, "c2", self.c2 + 0.0)
         if not (self.c1 >= self.c2 >= 0.0):
             raise ValueError(f"require c1 >= c2 >= 0, got ({self.c1}, {self.c2})")
         if abs(self.c1 ** 2 + self.c2 ** 2 - 1.0) > NORM_TOL:
@@ -208,8 +210,7 @@ def schmidt_decompose(state: TwoQubitState) -> SchmidtForm:
         else:
             vh[1, :] *= rel
 
-    # + 0.0 clears the sign of a zero singular value, which LAPACK may return as -0.0.
-    return SchmidtForm(c1=float(s[0]), c2=float(s[1]) + 0.0, sign=sign, basis_a=u, basis_b=vh.T)
+    return SchmidtForm(c1=float(s[0]), c2=float(s[1]), sign=sign, basis_a=u, basis_b=vh.T)
 
 
 def concurrence(form: SchmidtForm) -> float:

@@ -7,6 +7,7 @@ reduces to the closed form 2*c1*c2*(ax*bx + ay*by) - az*bz.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,80 @@ def chsh_combination(p, form: str):
     if form == "signed":
         return next(p) - next(p) + next(p) + next(p)
     raise ValueError(f"unknown CHSH form {form!r}")
+
+
+@dataclass(frozen=True)
+class CorrelationEstimate:
+    """Estimate of a correlation coefficient with its standard error."""
+
+    value: float
+    std_error: float
+    n_samples: int
+
+    def __post_init__(self):
+        if not (0.0 <= self.std_error < math.inf):
+            raise ValueError(f"std_error must be finite and non-negative, got {self.std_error}")
+        n = self.n_samples
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+            raise ValueError(f"n_samples must be a positive integer, got {n}")
+        if not abs(self.value) <= 1.0 + 3.0 * self.std_error:
+            raise ValueError(f"estimate {self.value} inconsistent with a bounded correlation")
+
+
+@dataclass(frozen=True)
+class Correlators:
+    """Correlations E_i = numerators[i] / denominators[i] in pairs() order, Cov(E_i, E_j) =
+    covariance[i][j] / cov_denominator, and the report's CHSH form (see chsh_combination).
+
+    Estimates keep Python-int counts, so each combination is rounded once; exact values are floats over 1.
+    """
+
+    numerators: tuple
+    denominators: tuple
+    covariance: tuple
+    cov_denominator: int
+    form: str  # "bell" for chsh, "symmetric" for lhv, "signed" for agr
+
+    def __post_init__(self):
+        if self.form not in ("bell", "symmetric", "signed"):
+            raise ValueError(f"unknown CHSH form {self.form!r}")
+
+    def _terms(self) -> tuple[int, list]:
+        d = math.lcm(*self.denominators)  # the common denominator, and each numerator over it
+        return d, [x * (d // k) for x, k in zip(self.numerators, self.denominators)]
+
+    def signs(self, form: str) -> tuple[int, int, int, int]:
+        """Sign row of a CHSH form: each modulus takes the sign of its exact argument (-0.0 negative)."""
+        _, t = self._terms()
+        s_x, s_y = (-1 if v < 0 or (v == 0 and math.copysign(1.0, v) < 0) else 1 for v in (t[0] - t[1], t[2] + t[3]))
+        return {"bell": (s_x, -s_x, 1, 1), "symmetric": (s_x, -s_x, s_y, s_y), "signed": (1, -1, 1, 1)}[form]
+
+    def combination(self, w) -> tuple[float, float]:
+        """w . E and its standard error sqrt(w^T Cov w), each rounded once from integer counts.
+
+        Floats are summed in chsh_combination's order for the form, so a float record reproduces its bits.
+        """
+        d, t = self._terms()
+        t = [wi * x for wi, x in zip(w, t)]
+        if self.form == "symmetric" and len(t) == 4:  # each modulus first
+            t = [t[0] + t[1], t[2] + t[3]]
+        var = sum(wi * wj * c for wi, row in zip(w, self.covariance) for wj, c in zip(w, row) if wi and wj)
+        return sum(t[1:], t[0]) / d, math.sqrt(max(0.0, var / self.cov_denominator))
+
+    @property
+    def value(self) -> float:
+        return self.combination(self.signs(self.form))[0]
+
+    s_value = value  # the name perfbench reads (ROADMAP item 1a retires it)
+
+    @property
+    def std_error(self) -> float:
+        return self.combination(self.signs(self.form))[1]
+
+    def correlations(self) -> tuple[CorrelationEstimate, ...]:
+        """Each E_i with its standard error and n_samples = denominators[i]."""
+        return tuple(CorrelationEstimate(*self.combination([int(i == j) for j in range(len(self.numerators))]), d)
+                     for i, d in enumerate(self.denominators))
 
 
 def chsh_value(state: TwoQubitState, s: MeasurementSettings) -> float:

@@ -28,8 +28,8 @@ from . import __version__
 from .algebra import (UnitVector3, canonical_coefficients, canonical_state, check_normalized,
                       concurrence, make_unit_vector, schmidt_decompose)
 from .chsh import (
+    Correlators,
     MeasurementSettings,
-    chsh_combination,
     chsh_value,
     correlation_closed,
     correlation_matrix,
@@ -153,9 +153,10 @@ def _xz_settings(a: float, b: float, a_prime: float, b_prime: float) -> Measurem
     return MeasurementSettings(*(make_unit_vector(t, 0.0) for t in (a, b, a_prime, b_prime)))
 
 
-def _estimate_fields(estimates, s: float, stderr: float) -> list[tuple]:
+def _estimate_fields(c: Correlators) -> list[tuple]:
     """The E(pair) estimates and S of a Monte Carlo report, each with its standard error."""
-    pairs = list(zip(PAIR_LABELS, estimates))
+    pairs = list(zip(PAIR_LABELS, c.correlations()))
+    s, stderr = c.value, c.std_error
     return [
         ("E", [{"pair": label, "value": e.value, "stderr": e.std_error} for label, e in pairs],
          [f"E({label}) = {e.value:+.6f} +- {e.std_error:.6f}" for label, e in pairs]),
@@ -199,7 +200,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
 
     names = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
     p = {name: correlation_matrix(state, a, b) for name, (a, b) in zip(names, settings.pairs())}
-    s_value = chsh_combination(list(p.values()), "bell")
+    s_value = Correlators(tuple(p.values()), (1,) * 4, ((0,) * 4,) * 4, 1, "bell").value
     bound = max_violation(c1, c2)
     conc = concurrence(schmidt_decompose(state))
     source = "gisin" if args.gisin else "explicit"
@@ -259,7 +260,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         ("samples", args.samples, []),
         ("seed", args.seed, []),
         ("settings", _settings_report(settings)[0], []),
-        *_estimate_fields(est.correlations(), est.value, est.std_error),
+        *_estimate_fields(est),
         ("within_local_bound", within, [f"local bound (S <= 2 exactly): {'pass' if within else 'FAIL'}"]),
     ]
     _emit(args.format, args.out, f"lhv model={args.model} samples={args.samples} seed={args.seed}", fields)
@@ -302,14 +303,14 @@ def cmd_agr(args: argparse.Namespace) -> int:
         ("state", {"c1": c1, "c2": c2}, []),
         ("settings", _settings_report(settings)[0], []),
         ("counts", counts, []),
-        *_estimate_fields(report.correlations, report.s.s_value, report.s.std_error),
-        (None, None, [f"|S| = {abs(report.s.s_value):.6f}"]),
+        *_estimate_fields(report.s),
+        (None, None, [f"|S| = {abs(report.s.value):.6f}"]),
     ]
     header = (f"agr pairs={cfg.n_pairs} efficiency={cfg.efficiency:.9g} "
               f"misalignment_sigma={cfg.misalignment_sigma:.9g} seed={cfg.seed}")
     # One CSV row per orientation pair: its coincidence counts and its E estimate.
     rows = [[*counts[0], "E", "stderr"]]
-    rows += [[*c.values(), e.value, e.std_error] for c, e in zip(counts, report.correlations)]
+    rows += [[*c.values(), e.value, e.std_error] for c, e in zip(counts, report.s.correlations())]
     if args.format == "text" and args.out:  # the file keeps the JSON report, stdout the text
         _emit("json", args.out, header, fields)
     _emit(args.format, None if args.format == "text" else args.out, header, fields, rows)
@@ -348,18 +349,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         rows.append((f"lhv-bound-{name}", est.value <= 2.0,
                      f"(S = {est.value:.4f} +- {est.std_error:.4f})"))
 
-    e = estimate_correlation(
-        BUILTIN_MODELS["bell-sign"](),
-        UnitVector3(0, 0, 1),
-        make_unit_vector(math.pi / 2, 0.0),
-        200_000,
-        11,
-    )
-    rows.append((
-        "bell-sign-analytic",
-        abs(e.value - 0.0) <= 5.0 * e.std_error,
-        f"(E = {e.value:.4f} +- {e.std_error:.4f})",
-    ))
+    e = estimate_correlation(BUILTIN_MODELS["bell-sign"](), UnitVector3(0, 0, 1), make_unit_vector(math.pi / 2, 0.0),
+                             200_000, 11)
+    rows.append(("bell-sign-analytic", abs(e.value) <= 5.0 * e.std_error, f"(E = {e.value:.4f} +- {e.std_error:.4f})"))
 
     cfg = ExperimentConfig(
         state=canonical_state(SINGLET_C1, -SINGLET_C1),
@@ -367,14 +359,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         n_pairs=200_000,
         seed=3,
     )
-    r1 = run_experiment(cfg)
-    r2 = run_experiment(cfg)
+    r1, r2 = run_experiment(cfg), run_experiment(cfg)
+    s, se = r1.s.combination(r1.s.signs("signed"))  # r1.s.value and r1.s.std_error
     rows.append(("agr-determinism", r1.counts == r2.counts, ""))
-    rows.append((
-        "agr-ideal-s",
-        abs(abs(r1.s.s_value) - 2.0 * math.sqrt(2.0)) <= 5.0 * r1.s.std_error,
-        f"(|S| = {abs(r1.s.s_value):.4f} +- {r1.s.std_error:.4f})",
-    ))
+    rows.append(("agr-ideal-s", abs(abs(s) - 2.0 * math.sqrt(2.0)) <= 5.0 * se, f"(|S| = {abs(s):.4f} +- {se:.4f})"))
 
     for name, ok, detail in rows:
         print(f"PASS {name}" if ok else f"FAIL {name} {detail}")

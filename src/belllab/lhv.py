@@ -13,6 +13,9 @@ responses bounded by 1, each draw's x = AB - AB' and y = A'B' + A'B have
 |x| + |y| <= 2, so S = (|sum x| + |sum y|)/n <= 2 holds exactly, not only
 within statistical error: in integers for +-1 responses, and up to the
 rounding of each draw's products (about 1e-16) for device-averaged ones.
+The estimators return one ``chsh.Correlators`` record: the sums over n, and
+the covariance (n M - s s^T) / (n^2 (n - 1)) of the means from the sums s and
+moments M (0 when n = 1), so S and each standard error are rounded once.
 
 The two built-in models themselves draw no lambda: the statistics of n draws
 depend only on the counts of their +-1 outcome patterns, exactly
@@ -25,13 +28,12 @@ other model, subclasses of the built-in ones included, is sampled.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import UnitVector3, check_integer
-from .chsh import MeasurementSettings, chsh_combination
+from .chsh import CorrelationEstimate, Correlators, MeasurementSettings
 
 # Sampled models draw in fixed-size blocks so results depend only on (seed, n).
 # At 2**14 a block's lambda, sampler, response and product arrays take about
@@ -65,41 +67,6 @@ def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 
 class PreconditionError(ValueError):
     """A precondition of the requested check does not hold."""
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Monte Carlo estimate of a correlation coefficient."""
-
-    value: float
-    std_error: float
-    n_samples: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.std_error < math.inf):
-            raise ValueError(f"std_error must be finite and non-negative, got {self.std_error}")
-        n = self.n_samples
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-            raise ValueError(f"n_samples must be a positive integer, got {n}")
-        if not abs(self.value) <= 1.0 + 3.0 * self.std_error:
-            raise ValueError(
-                f"estimate {self.value} inconsistent with a bounded correlation"
-            )
-
-
-@dataclass(frozen=True)
-class ChshEstimate:
-    """CHSH combination |E(a,b) - E(a,b')| + |E(a',b') + E(a',b)| with its error."""
-
-    value: float
-    std_error: float
-    e_ab: CorrelationEstimate
-    e_abp: CorrelationEstimate
-    e_apb: CorrelationEstimate
-    e_apbp: CorrelationEstimate
-
-    def correlations(self) -> tuple[CorrelationEstimate, ...]:
-        return (self.e_ab, self.e_abp, self.e_apb, self.e_apbp)
 
 
 @dataclass(frozen=True)
@@ -274,22 +241,13 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     return sums, moments
 
 
-def _std_error(sums: np.ndarray, moments: np.ndarray, n: int, w) -> float:
-    """Standard error of the mean of w . P: its sample deviation (ddof 1) over sqrt(n)."""
-    if n == 1:
-        return 0.0
-    w = np.asarray(w, dtype=float)
-    mean = float(w @ sums) / n
-    var = max(0.0, (float(w @ moments @ w) - n * mean * mean) / (n - 1))
-    return math.sqrt(var / n)
-
-
-def _estimate(sums: np.ndarray, moments: np.ndarray, n: int, i: int) -> CorrelationEstimate:
-    return CorrelationEstimate(float(sums[i]) / n, _std_error(sums, moments, n, np.eye(len(sums))[i]), n)
-
-
-def _sign(x: float) -> float:
-    return 1.0 if x >= 0.0 else -1.0
+def _correlators(model, pairs, n: int, seed) -> Correlators:
+    """The pairs' correlations over one shared stream, with the sample covariance (ddof 1) of their means."""
+    sums, moments = _shared_stream_sums(model, pairs, n, seed)
+    n = int(n)  # a numpy integer would wrap in n * n
+    cov = (n * moments - np.outer(sums, sums)).tolist()
+    return Correlators(tuple(sums.tolist()), (n,) * len(pairs), tuple(map(tuple, cov)),
+                       n * n * max(n - 1, 1), "symmetric")
 
 
 def estimate_correlation(model, a: UnitVector3, b: UnitVector3, n: int, seed) -> CorrelationEstimate:
@@ -299,51 +257,31 @@ def estimate_correlation(model, a: UnitVector3, b: UnitVector3, n: int, seed) ->
     (seed, n) are bit-identical.  The standard error is the sample standard
     deviation over sqrt(n) (zero when n = 1).
     """
-    sums, moments = _shared_stream_sums(model, ((a, b),), n, seed)
-    return _estimate(sums, moments, n, 0)
+    return _correlators(model, ((a, b),), n, seed).correlations()[0]
 
 
-def chsh_lhv(model, s: MeasurementSettings, n: int, seed) -> ChshEstimate:
+def chsh_lhv(model, s: MeasurementSettings, n: int, seed) -> Correlators:
     """CHSH value of a local model from one hidden-variable stream shared by all four pairs.
 
-    Each of the n draws of lambda from ``seed`` feeds all four orientation
-    pairs, as in Bell's derivation, so S is formed from the sums of the pair
-    products and S <= 2 holds exactly for responses bounded by 1.  The standard
-    error is the sample deviation of the per-draw combination
-    s_x*(AB - AB') + s_y*(A'B' + A'B) over sqrt(n), with s_x and s_y the signs
-    inside the two moduli; each correlation estimate keeps n_samples = n.
+    Each of the n draws of lambda from ``seed`` feeds all four orientation pairs, as in
+    Bell's derivation, so S = |E(a,b) - E(a,b')| + |E(a',b') + E(a',b)| <= 2 holds exactly
+    for responses bounded by 1.  Its standard error is the sample deviation of the per-draw
+    s_x*(AB - AB') + s_y*(A'B' + A'B) over sqrt(n), with s_x, s_y the signs inside the moduli.
     """
-    sums, moments = _shared_stream_sums(model, s.pairs(), n, seed)
-    s_x, s_y = _sign(sums[0] - sums[1]), _sign(sums[2] + sums[3])
-    se = _std_error(sums, moments, n, (s_x, -s_x, s_y, s_y))
-    value = float(chsh_combination(sums, "symmetric")) / n
-    return ChshEstimate(value, se, *(_estimate(sums, moments, n, i) for i in range(4)))
+    return _correlators(model, s.pairs(), n, seed)
 
 
-def bell1964_check(
-    model,
-    a: UnitVector3,
-    b: UnitVector3,
-    b_prime: UnitVector3,
-    n: int,
-    seed,
-) -> Bell1964Result:
+def bell1964_check(model, a: UnitVector3, b: UnitVector3, b_prime: UnitVector3, n: int, seed) -> Bell1964Result:
     """Evaluate |E(a,b) - E(a,b')| against 1 + E(b',b) on one shared hidden-variable stream.
 
     The reduction assumes perfect anticorrelation at equal settings: every draw
     must give A(b')B(b') = -1, else PreconditionError.  Each draw then has
     |A(a)B(b) - A(a)B(b')| <= 1 + A(b')B(b), so lhs <= rhs holds exactly for +-1 responses.
     """
-    pairs = ((b_prime, b_prime), (a, b), (a, b_prime), (b_prime, b))
-    sums, moments = _shared_stream_sums(model, pairs, n, seed)
+    c = _correlators(model, ((b_prime, b_prime), (a, b), (a, b_prime), (b_prime, b)), n, seed)
+    sums = c.numerators
     if sums[0] != -n:
-        raise PreconditionError(
-            f"E(b', b') = {float(sums[0]) / n:.6f} != -1: the 1964 reduction does not apply"
-        )
-    sign = _sign(sums[1] - sums[2])
-    return Bell1964Result(
-        lhs=float(abs(sums[1] - sums[2])) / n,
-        rhs=float(n + sums[3]) / n,
-        lhs_std_error=_std_error(sums, moments, n, (0.0, sign, -sign, 0.0)),
-        rhs_std_error=_std_error(sums, moments, n, (0.0, 0.0, 0.0, 1.0)),
-    )
+        raise PreconditionError(f"E(b', b') = {sums[0] / n:.6f} != -1: the 1964 reduction does not apply")
+    sign = -1 if sums[1] < sums[2] else 1
+    lhs, lhs_std_error = c.combination((0, sign, -sign, 0))
+    return Bell1964Result(lhs, (n + sums[3]) / n, lhs_std_error, c.combination((0, 0, 0, 1))[1])

@@ -165,7 +165,7 @@ def test_criterion_6_agr_desk_scale_reproduction():
     ideal = estimate_S(
         ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=10_000_000, seed=106)
     )
-    assert abs(abs(ideal.s_value) - TSIRELSON) <= 3.0 * ideal.std_error
+    assert abs(abs(ideal.value) - TSIRELSON) <= 3.0 * ideal.std_error
 
     damped = estimate_S(
         ExperimentConfig(
@@ -176,11 +176,11 @@ def test_criterion_6_agr_desk_scale_reproduction():
             seed=106,
         )
     )
-    assert 2.65 <= abs(damped.s_value) <= 2.75
+    assert 2.65 <= abs(damped.value) <= 2.75
     report(
         6,
-        f"ideal |S| = {abs(ideal.s_value):.5f} (2*sqrt(2) within 3 sigma); "
-        f"damping 0.955 gives |S| = {abs(damped.s_value):.5f} in [2.65, 2.75]",
+        f"ideal |S| = {abs(ideal.value):.5f} (2*sqrt(2) within 3 sigma); "
+        f"damping 0.955 gives |S| = {abs(damped.value):.5f} in [2.65, 2.75]",
     )
 
 

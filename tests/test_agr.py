@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,13 @@ class TestSimulateRun:
             with pytest.raises(TypeError):
                 ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=bad)
 
+    @pytest.mark.parametrize("field", ["efficiency", "misalignment_sigma"])
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, 0.5 + 0j], ids=repr)
+    def test_knob_must_be_real(self, field, bad):
+        # efficiency=True and misalignment_sigma=True used to run as 1.0.
+        with pytest.raises(TypeError, match=f"{field} must be a real number"):
+            ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=100, **{field: bad})
+
     def test_seed_must_be_an_integer(self):
         # seed=0.5 used to construct and fail later inside numpy; seed=True ran silently as seed 1.
         cfg = ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=100, seed=np.int64(7))
@@ -284,12 +292,12 @@ class TestEstimateE:
 class TestEstimateS:
     def test_ideal_singlet_reaches_tsirelson(self):
         s = estimate_S(ideal_config(n_pairs=1_000_000, seed=2))
-        assert abs(abs(s.s_value) - TSIRELSON) <= 3.0 * s.std_error
+        assert abs(abs(s.value) - TSIRELSON) <= 3.0 * s.std_error
 
     def test_damped_run_brackets_lab_value(self):
         sigma = misalignment_for_damping(0.955)
         s = estimate_S(ideal_config(n_pairs=1_000_000, seed=2, misalignment_sigma=sigma))
-        assert 2.65 <= abs(s.s_value) <= 2.75
+        assert 2.65 <= abs(s.value) <= 2.75
 
     def test_product_state_obeys_local_bound(self):
         cfg = ExperimentConfig(
@@ -299,14 +307,14 @@ class TestEstimateS:
             seed=3,
         )
         s = estimate_S(cfg)
-        assert abs(s.s_value) <= 2.0 + 3.0 * s.std_error
+        assert abs(s.value) <= 2.0 + 3.0 * s.std_error
 
     def test_monotone_damping_ladder(self):
         sigmas = [0.0, 0.1, 0.2, 0.35, 0.5]
         values = []
         for sigma in sigmas:
             s = estimate_S(ideal_config(n_pairs=300_000, seed=4, misalignment_sigma=sigma))
-            values.append((abs(s.s_value), s.std_error))
+            values.append((abs(s.value), s.std_error))
         for (hi, se_hi), (lo, se_lo) in zip(values, values[1:]):
             assert lo <= hi + 5.0 * math.hypot(se_hi, se_lo)
 
@@ -314,20 +322,44 @@ class TestEstimateS:
         sigma = 0.3
         s = estimate_S(ideal_config(n_pairs=1_000_000, seed=5, misalignment_sigma=sigma))
         expected = TSIRELSON * math.exp(-sigma * sigma)
-        assert abs(abs(s.s_value) - expected) <= 5.0 * s.std_error
+        assert abs(abs(s.value) - expected) <= 5.0 * s.std_error
 
     def test_report_structure(self):
         report = run_experiment(ideal_config(n_pairs=10_000, seed=6))
         assert len(report.counts) == 4
-        assert len(report.correlations) == 4
-        e = [c.value for c in report.correlations]
-        assert report.s.s_value == pytest.approx(e[0] - e[1] + e[2] + e[3], abs=1e-15)
-        expected_se = math.sqrt(sum(c.std_error ** 2 for c in report.correlations))
+        assert len(report.s.correlations()) == 4
+        e = [c.value for c in report.s.correlations()]
+        assert report.s.value == pytest.approx(e[0] - e[1] + e[2] + e[3], abs=1e-15)
+        expected_se = math.sqrt(sum(c.std_error ** 2 for c in report.s.correlations()))
         assert report.s.std_error == pytest.approx(expected_se, rel=1e-12)
 
     def test_determinism_bitwise(self):
         cfg = ideal_config(n_pairs=20_000, seed=7, efficiency=0.9, misalignment_sigma=0.05)
         assert run_experiment(cfg).counts == run_experiment(cfg).counts
+
+
+class TestExactRounding:
+    def test_s_and_errors_round_once(self):
+        # Oracle: Fraction arithmetic on the same counts, rounded once at the end.
+        rng = np.random.default_rng(71)
+        for seed in range(300):
+            settings = MeasurementSettings(*(random_unit_vector(rng) for _ in range(4)))
+            cfg = ExperimentConfig(state=random_state(rng), settings=settings,
+                                   n_pairs=int(10 ** rng.uniform(1.0, 6.0)), efficiency=rng.uniform(0.5, 1.0),
+                                   misalignment_sigma=rng.uniform(0.0, 0.5), seed=seed)
+            counts = tuple(simulate_run(cfg, a, b, stream=i) for i, (a, b) in enumerate(settings.pairs()))
+            if any(c.total() == 0 for c in counts):
+                with pytest.raises(InsufficientDataError):
+                    run_experiment(cfg)
+                continue
+            report = run_experiment(cfg)
+            assert report.counts == counts
+            e = [Fraction(c.r_pp + c.r_mm - c.r_pm - c.r_mp, c.total()) for c in counts]
+            var = [(1 - x * x) / c.total() for x, c in zip(e, counts)]
+            assert report.s.value == float(e[0] - e[1] + e[2] + e[3])
+            assert report.s.std_error == math.sqrt(float(sum(var)))
+            for got, x, v, c in zip(report.s.correlations(), e, var, counts):
+                assert (got.value, got.std_error, got.n_samples) == (float(x), math.sqrt(float(v)), c.total())
 
 
 class TestCoincidenceCounts:

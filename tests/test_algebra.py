@@ -355,6 +355,12 @@ class TestConcurrence:
 
 
 class TestSchmidtFormValidation:
+    def test_negative_zero_c2_stored_positive(self):
+        # SchmidtForm(c2=-0.0) used to keep -0.0, and its concurrence read -0.0.
+        form = SchmidtForm(c1=1.0, c2=-0.0, sign=1, basis_a=np.eye(2), basis_b=np.eye(2))
+        assert math.copysign(1.0, form.c2) == 1.0
+        assert math.copysign(1.0, concurrence(form)) == 1.0
+
     def test_rejects_bad_ordering(self):
         with pytest.raises(ValueError):
             SchmidtForm(c1=0.3, c2=math.sqrt(1 - 0.09), sign=1,

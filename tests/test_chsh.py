@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from belllab import (
     BellSignModel,
+    Correlators,
     JointProbabilities,
     TwoQubitState,
     UnitVector3,
@@ -335,6 +337,50 @@ class TestChshCombination:
     def test_pair_order(self):
         s = gisin_settings(0.8, 0.6)
         assert s.pairs() == ((s.a, s.b), (s.a, s.b_prime), (s.a_prime, s.b), (s.a_prime, s.b_prime))
+
+
+FORMS = ("bell", "symmetric", "signed")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def exact(values, form):
+    """A record of exact correlations, as cmd_chsh builds it: floats over 1, zero covariance."""
+    return Correlators(tuple(values), (1,) * 4, ((0,) * 4,) * 4, 1, form)
+
+
+class TestCorrelators:
+    @given(st.tuples(FINITE, FINITE, FINITE, FINITE), st.sampled_from(FORMS))
+    @example((-0.0, 0.0, -0.0, -0.0), "bell")
+    @example((-0.0, 0.0, -0.0, -0.0), "signed")
+    @example((0.5, 0.5, -0.0, -0.0), "symmetric")
+    @example((0.1, 0.2, 0.3, 0.4), "symmetric")
+    def test_float_rows_reproduce_chsh_combination(self, p, form):
+        c = exact(p, form)
+        want = chsh_combination(p, form)
+        assert same_bits(c.value, want)
+        assert same_bits(c.combination(c.signs(form))[0], want)
+        assert c.std_error == 0.0
+
+    def test_rows(self):
+        c = exact((0.3, 0.9, -0.2, -0.5), "bell")
+        assert c.signs("bell") == (-1, 1, 1, 1)
+        assert c.signs("symmetric") == (-1, 1, -1, -1)
+        assert c.signs("signed") == (1, -1, 1, 1)
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match="form"):
+            exact((0.3, 0.9, -0.2, -0.5), "lab")
+
+    def test_integer_record_rounds_once(self):
+        # 1/3 - 1/7 + 1/11 + 1/13 over unequal denominators, and a covariance of exact ints.
+        zero = (0, 0, 0, 0)
+        cov = ((2, 0, 0, 0), zero, (0, 0, 1, 0), (0, 0, 0, 3))
+        c = Correlators((1, 1, 1, 1), (3, 7, 11, 13), cov, 10 ** 20 + 1, "signed")
+        value, se = c.combination((1, -1, 1, 1))
+        exact = Fraction(1, 3) - Fraction(1, 7) + Fraction(1, 11) + Fraction(1, 13)
+        assert (value, se) == (float(exact), math.sqrt(float(Fraction(6, 10 ** 20 + 1))))
+        assert [e.n_samples for e in c.correlations()] == [3, 7, 11, 13]
+        assert [e.value for e in c.correlations()] == [1 / 3, 1 / 7, 1 / 11, 1 / 13]
 
 
 class TestGisinSettings:

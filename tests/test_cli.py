@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -8,7 +7,7 @@ import shlex
 
 import pytest
 
-from belllab import canonical_coefficients, cli
+from belllab import Correlators, canonical_coefficients, cli
 from belllab.cli import build_parser, main
 from belllab.regions import MAX_GRID_N, Plane, scan_region
 from helpers import reference_grid_csv, reference_grid_json
@@ -25,10 +24,13 @@ def run_cli(capsys, *argv):
 @pytest.fixture
 def s_just_above_two(monkeypatch):
     """Make the CLI's chsh_lhv report S = 2 + 1e-9 +- 0.01, far inside 5 sigma of the bound."""
-    real = cli.chsh_lhv
+    zero = (0.0,) * 4
+    record = Correlators((1.0, -1.0, 1e-9, 0.0), (1,) * 4, (zero, zero, (0.0, 0.0, 1e-4, 0.0), zero), 1,
+                         "symmetric")
+    assert (record.value, record.std_error) == (2.0 + 1e-9, 0.01)
 
     def just_above_two(model, s, n, seed):
-        return dataclasses.replace(real(model, s, n, seed), value=2.0 + 1e-9, std_error=0.01)
+        return record
 
     monkeypatch.setattr(cli, "chsh_lhv", just_above_two)
 

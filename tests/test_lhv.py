@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -330,8 +331,8 @@ class TestChshLhv:
             lam = shared_draws(model, n, seed)
             a, ap = (model.response_a(v, lam) for v in (s.a, s.a_prime))
             b, bp = (model.response_b(v, lam) for v in (s.b, s.b_prime))
-            s_x = 1.0 if est.e_ab.value >= est.e_abp.value else -1.0
-            s_y = 1.0 if est.e_apbp.value + est.e_apb.value >= 0.0 else -1.0
+            s_x = 1.0 if est.correlations()[0].value >= est.correlations()[1].value else -1.0
+            s_y = 1.0 if est.correlations()[3].value + est.correlations()[2].value >= 0.0 else -1.0
             combination = s_x * (a * b - a * bp) + s_y * (ap * bp + ap * b)
             assert est.value == pytest.approx(combination.mean(), abs=1e-12)
             assert abs(est.std_error - np.std(combination, ddof=1) / math.sqrt(n)) <= 1e-12
@@ -630,8 +631,8 @@ class TestExactSignRoute:
             p, prod = lhv._sign_pattern_law(s.pairs())
             draws = np.repeat(prod, np.random.default_rng(seed).multinomial(n, p), axis=0).astype(float)
             ab, abp, apb, apbp = draws.T
-            s_x = 1.0 if est.e_ab.value >= est.e_abp.value else -1.0
-            s_y = 1.0 if est.e_apbp.value + est.e_apb.value >= 0.0 else -1.0
+            s_x = 1.0 if est.correlations()[0].value >= est.correlations()[1].value else -1.0
+            s_y = 1.0 if est.correlations()[3].value + est.correlations()[2].value >= 0.0 else -1.0
             combination = s_x * (ab - abp) + s_y * (apbp + apb)
             assert est.value == pytest.approx(combination.mean(), abs=1e-12)
             assert abs(est.std_error - np.std(combination, ddof=1) / math.sqrt(n)) <= 1e-12
@@ -773,8 +774,8 @@ class TestLinearOutcomeLaw:
             p, prod = lhv._linear_outcome_law(s.pairs())
             draws = np.repeat(prod, np.random.default_rng(seed).multinomial(n, p), axis=0).astype(float)
             ab, abp, apb, apbp = draws.T
-            s_x = 1.0 if est.e_ab.value >= est.e_abp.value else -1.0
-            s_y = 1.0 if est.e_apbp.value + est.e_apb.value >= 0.0 else -1.0
+            s_x = 1.0 if est.correlations()[0].value >= est.correlations()[1].value else -1.0
+            s_y = 1.0 if est.correlations()[3].value + est.correlations()[2].value >= 0.0 else -1.0
             combination = s_x * (ab - abp) + s_y * (apbp + apb)
             assert est.value == pytest.approx(combination.mean(), abs=1e-12)
             assert abs(est.std_error - np.std(combination, ddof=1) / math.sqrt(n)) <= 1e-12
@@ -827,6 +828,54 @@ class TestLinearOutcomeLaw:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         chsh_lhv(AveragedLinearModel(), settings, 1_000_000, seed=1)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+def exact_error(sums, moments, n, w) -> float:
+    """sqrt of the exact variance of the mean of w . P, (n w'Mw - (w . s)^2) / (n^2 (n - 1)), rounded once."""
+    k = range(len(w))
+    second = sum(w[i] * w[j] * int(moments[i][j]) for i in k for j in k)
+    first = sum(w[i] * int(sums[i]) for i in k)
+    return math.sqrt(float(Fraction(n * second - first * first, n * n * (n - 1))))
+
+
+class TestExactRounding:
+    """S, every E and every standard error of the built-in models against Fraction arithmetic on the same sums."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_chsh_rounds_once(self, name):
+        rng = np.random.default_rng(67)
+        model = BUILTIN_MODELS[name]()
+        for seed in range(200):
+            s = random_settings(rng)
+            n = int(10 ** rng.uniform(1.0, 15.0))
+            est = chsh_lhv(model, s, n, seed)
+            sums, moments = lhv._shared_stream_sums(model, s.pairs(), n, seed)
+            x, y = int(sums[0] - sums[1]), int(sums[2] + sums[3])
+            s_x, s_y = (1 if v >= 0 else -1 for v in (x, y))
+            assert est.value == float(Fraction(abs(x) + abs(y), n))
+            assert est.std_error == exact_error(sums, moments, n, (s_x, -s_x, s_y, s_y))
+            for i, e in enumerate(est.correlations()):
+                assert e.value == float(Fraction(int(sums[i]), n))
+                assert e.std_error == exact_error(sums, moments, n, [int(i == j) for j in range(4)])
+
+    def test_bell1964_rounds_once(self):
+        rng = np.random.default_rng(68)
+        model = BellSignModel()
+        for seed in range(200):
+            a, b, bp = (random_unit_vector(rng) for _ in range(3))
+            n = int(10 ** rng.uniform(1.0, 15.0))
+            res = bell1964_check(model, a, b, bp, n, seed)
+            sums, moments = lhv._shared_stream_sums(model, bell1964_pairs(a, b, bp), n, seed)
+            sign = 1 if sums[1] >= sums[2] else -1
+            assert res.lhs == float(Fraction(abs(int(sums[1] - sums[2])), n))
+            assert res.rhs == float(Fraction(n + int(sums[3]), n))
+            assert res.lhs_std_error == exact_error(sums, moments, n, (0, sign, -sign, 0))
+            assert res.rhs_std_error == exact_error(sums, moments, n, (0, 0, 0, 1))
+
+    def test_no_spurious_error_at_the_largest_sample_count(self):
+        # The exact variance numerator is 0 here; the float formula read 9.8e-18.
+        est = chsh_lhv(BellSignModel(), gisin_settings(0.6, 0.8), 2 ** 63 - 1, 3)
+        assert est.std_error == 0.0
 
 
 class TestBell1964:

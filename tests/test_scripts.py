@@ -76,4 +76,4 @@ def test_readme_api_sketch_runs():
     bl = namespace["bl"]
     assert bl.chsh_value(namespace["state"], namespace["settings"]) > 2.0
     assert namespace["est"].value <= 2.0
-    assert bl.estimate_S(namespace["cfg"]).s_value == pytest.approx(-2.70, abs=0.01)
+    assert bl.estimate_S(namespace["cfg"]).value == pytest.approx(-2.70, abs=0.01)
