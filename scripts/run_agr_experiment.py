@@ -47,9 +47,11 @@ def main():
                 seed=args.seed,
             )
         )
-        s, stderr = est.combination(est.signs("signed"))  # est.value and est.std_error
-        ratio = abs(s) / (2 * math.sqrt(2))
-        print(f"{damping:8.3f} {sigma:8.4f} {abs(s):10.5f} {stderr:9.5f} {ratio:11.5f}")
+        ratio = abs(est.value) / (2 * math.sqrt(2))
+        print(
+            f"{damping:8.3f} {sigma:8.4f} {abs(est.value):10.5f} "
+            f"{est.std_error:9.5f} {ratio:11.5f}"
+        )
     print("\nthe damping 0.955 row lands in the 2.70 +- 0.05 window of the")
     print("historical two-channel-polarizer measurement")
 

@@ -154,7 +154,7 @@ def _correlators(counts) -> Correlators:
     nums = [c.r_pp + c.r_mm - c.r_pm - c.r_mp for c in counts]
     d = math.lcm(*totals)
     var = [(t * t - x * x) * (d // t) ** 3 for x, t in zip(nums, totals)]
-    cov = tuple(tuple(v if i == j else 0 for j in range(len(var))) for i, v in enumerate(var))
+    cov = tuple((0,) * i + (v,) + (0,) * (len(var) - i - 1) for i, v in enumerate(var))
     return Correlators(tuple(nums), tuple(totals), cov, d ** 3, "signed")
 
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +130,9 @@ class CorrelationEstimate:
         if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
             raise ValueError(f"n_samples must be a positive integer, got {n}")
         if not abs(self.value) <= 1.0 + 3.0 * self.std_error:
-            raise ValueError(f"estimate {self.value} inconsistent with a bounded correlation")
+            raise ValueError(
+                f"estimate {self.value} inconsistent with a bounded correlation"
+            )
 
 
 @dataclass(frozen=True)
@@ -136,55 +140,57 @@ class Correlators:
     """Correlations E_i = numerators[i] / denominators[i] in pairs() order, Cov(E_i, E_j) =
     covariance[i][j] / cov_denominator, and the report's CHSH form (see chsh_combination).
 
-    Estimates keep Python-int counts, so each combination is rounded once; exact values are floats over 1.
+    Estimates keep Python-int counts, so S, each E and each standard error are rounded once, S on
+    construction and the others on first read.  S and its error exist for a full quadruple only.
     """
 
     numerators: tuple
     denominators: tuple
     covariance: tuple
     cov_denominator: int
-    form: str  # "bell" for chsh, "symmetric" for lhv, "signed" for agr
+    form: str  # a chsh_combination form: "symmetric" for lhv, "signed" for agr
+    # S, formed from the fields unless given.  perfbench reads S, and replaces it to test its S
+    # check, under this name (ROADMAP item 1a renames it value).
+    s_value: float | None = None
 
     def __post_init__(self):
-        if self.form not in ("bell", "symmetric", "signed"):
-            raise ValueError(f"unknown CHSH form {self.form!r}")
+        if self.s_value is None and len(self.numerators) == 4:
+            d, t = self._terms()
+            object.__setattr__(self, "s_value", chsh_combination(t, self.form) / d)
+
+    @cached_property
+    def std_error(self) -> float | None:
+        return self.combination(self.signs(self.form))[1] if len(self.numerators) == 4 else None
+
+    @cached_property
+    def _estimates(self) -> tuple[CorrelationEstimate, ...]:
+        rows = enumerate(zip(self.numerators, self.denominators, self.covariance))
+        return tuple(CorrelationEstimate(x / k, math.sqrt(max(0.0, row[i] / self.cov_denominator)), k)
+                     for i, (x, k, row) in rows)
 
     def _terms(self) -> tuple[int, list]:
         d = math.lcm(*self.denominators)  # the common denominator, and each numerator over it
         return d, [x * (d // k) for x, k in zip(self.numerators, self.denominators)]
 
     def signs(self, form: str) -> tuple[int, int, int, int]:
-        """Sign row of a CHSH form: each modulus takes the sign of its exact argument (-0.0 negative)."""
+        """Sign row of a CHSH form: each modulus takes the sign of its exact argument."""
         _, t = self._terms()
-        s_x, s_y = (-1 if v < 0 or (v == 0 and math.copysign(1.0, v) < 0) else 1 for v in (t[0] - t[1], t[2] + t[3]))
+        s_x, s_y = (-1 if v < 0 else 1 for v in (t[0] - t[1], t[2] + t[3]))
         return {"bell": (s_x, -s_x, 1, 1), "symmetric": (s_x, -s_x, s_y, s_y), "signed": (1, -1, 1, 1)}[form]
 
     def combination(self, w) -> tuple[float, float]:
-        """w . E and its standard error sqrt(w^T Cov w), each rounded once from integer counts.
-
-        Floats are summed in chsh_combination's order for the form, so a float record reproduces its bits.
-        """
+        """w . E and its standard error sqrt(w^T Cov w), each rounded once from integer counts."""
         d, t = self._terms()
-        t = [wi * x for wi, x in zip(w, t)]
-        if self.form == "symmetric" and len(t) == 4:  # each modulus first
-            t = [t[0] + t[1], t[2] + t[3]]
-        var = sum(wi * wj * c for wi, row in zip(w, self.covariance) for wj, c in zip(w, row) if wi and wj)
-        return sum(t[1:], t[0]) / d, math.sqrt(max(0.0, var / self.cov_denominator))
+        var = sum(wi * sum(map(operator.mul, w, row)) for wi, row in zip(w, self.covariance) if wi)
+        return sum(map(operator.mul, w, t)) / d, math.sqrt(max(0.0, var / self.cov_denominator))
 
     @property
-    def value(self) -> float:
-        return self.combination(self.signs(self.form))[0]
-
-    s_value = value  # the name perfbench reads (ROADMAP item 1a retires it)
-
-    @property
-    def std_error(self) -> float:
-        return self.combination(self.signs(self.form))[1]
+    def value(self) -> float | None:
+        return self.s_value
 
     def correlations(self) -> tuple[CorrelationEstimate, ...]:
         """Each E_i with its standard error and n_samples = denominators[i]."""
-        return tuple(CorrelationEstimate(*self.combination([int(i == j) for j in range(len(self.numerators))]), d)
-                     for i, d in enumerate(self.denominators))
+        return self._estimates
 
 
 def chsh_value(state: TwoQubitState, s: MeasurementSettings) -> float:

@@ -30,6 +30,7 @@ from .algebra import (UnitVector3, canonical_coefficients, canonical_state, chec
 from .chsh import (
     Correlators,
     MeasurementSettings,
+    chsh_combination,
     chsh_value,
     correlation_closed,
     correlation_matrix,
@@ -200,7 +201,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
 
     names = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
     p = {name: correlation_matrix(state, a, b) for name, (a, b) in zip(names, settings.pairs())}
-    s_value = Correlators(tuple(p.values()), (1,) * 4, ((0,) * 4,) * 4, 1, "bell").value
+    s_value = chsh_combination(list(p.values()), "bell")
     bound = max_violation(c1, c2)
     conc = concurrence(schmidt_decompose(state))
     source = "gisin" if args.gisin else "explicit"
@@ -349,9 +350,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         rows.append((f"lhv-bound-{name}", est.value <= 2.0,
                      f"(S = {est.value:.4f} +- {est.std_error:.4f})"))
 
-    e = estimate_correlation(BUILTIN_MODELS["bell-sign"](), UnitVector3(0, 0, 1), make_unit_vector(math.pi / 2, 0.0),
-                             200_000, 11)
-    rows.append(("bell-sign-analytic", abs(e.value) <= 5.0 * e.std_error, f"(E = {e.value:.4f} +- {e.std_error:.4f})"))
+    e = estimate_correlation(
+        BUILTIN_MODELS["bell-sign"](),
+        UnitVector3(0, 0, 1),
+        make_unit_vector(math.pi / 2, 0.0),
+        200_000,
+        11,
+    )
+    rows.append((
+        "bell-sign-analytic",
+        abs(e.value - 0.0) <= 5.0 * e.std_error,
+        f"(E = {e.value:.4f} +- {e.std_error:.4f})",
+    ))
 
     cfg = ExperimentConfig(
         state=canonical_state(SINGLET_C1, -SINGLET_C1),
@@ -359,10 +369,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         n_pairs=200_000,
         seed=3,
     )
-    r1, r2 = run_experiment(cfg), run_experiment(cfg)
-    s, se = r1.s.combination(r1.s.signs("signed"))  # r1.s.value and r1.s.std_error
+    r1 = run_experiment(cfg)
+    r2 = run_experiment(cfg)
     rows.append(("agr-determinism", r1.counts == r2.counts, ""))
-    rows.append(("agr-ideal-s", abs(abs(s) - 2.0 * math.sqrt(2.0)) <= 5.0 * se, f"(|S| = {abs(s):.4f} +- {se:.4f})"))
+    rows.append((
+        "agr-ideal-s",
+        abs(abs(r1.s.value) - 2.0 * math.sqrt(2.0)) <= 5.0 * r1.s.std_error,
+        f"(|S| = {abs(r1.s.value):.4f} +- {r1.s.std_error:.4f})",
+    ))
 
     for name, ok, detail in rows:
         print(f"PASS {name}" if ok else f"FAIL {name} {detail}")

@@ -271,7 +271,14 @@ def chsh_lhv(model, s: MeasurementSettings, n: int, seed) -> Correlators:
     return _correlators(model, s.pairs(), n, seed)
 
 
-def bell1964_check(model, a: UnitVector3, b: UnitVector3, b_prime: UnitVector3, n: int, seed) -> Bell1964Result:
+def bell1964_check(
+    model,
+    a: UnitVector3,
+    b: UnitVector3,
+    b_prime: UnitVector3,
+    n: int,
+    seed,
+) -> Bell1964Result:
     """Evaluate |E(a,b) - E(a,b')| against 1 + E(b',b) on one shared hidden-variable stream.
 
     The reduction assumes perfect anticorrelation at equal settings: every draw
@@ -281,7 +288,14 @@ def bell1964_check(model, a: UnitVector3, b: UnitVector3, b_prime: UnitVector3, 
     c = _correlators(model, ((b_prime, b_prime), (a, b), (a, b_prime), (b_prime, b)), n, seed)
     sums = c.numerators
     if sums[0] != -n:
-        raise PreconditionError(f"E(b', b') = {sums[0] / n:.6f} != -1: the 1964 reduction does not apply")
+        raise PreconditionError(
+            f"E(b', b') = {sums[0] / n:.6f} != -1: the 1964 reduction does not apply"
+        )
     sign = -1 if sums[1] < sums[2] else 1
     lhs, lhs_std_error = c.combination((0, sign, -sign, 0))
-    return Bell1964Result(lhs, (n + sums[3]) / n, lhs_std_error, c.combination((0, 0, 0, 1))[1])
+    return Bell1964Result(
+        lhs=lhs,
+        rhs=(n + sums[3]) / n,
+        lhs_std_error=lhs_std_error,
+        rhs_std_error=c.combination((0, 0, 0, 1))[1],
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from belllab import (
     BellSignModel,
+    CorrelationEstimate,
     Correlators,
     JointProbabilities,
     TwoQubitState,
@@ -340,32 +342,43 @@ class TestChshCombination:
 
 
 FORMS = ("bell", "symmetric", "signed")
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CORRELATION = st.floats(-1.0, 1.0)
+COUNT = st.integers(1, 10 ** 12)
 
 
 def exact(values, form):
-    """A record of exact correlations, as cmd_chsh builds it: floats over 1, zero covariance."""
+    """A record of exact correlations: floats over 1, zero covariance."""
     return Correlators(tuple(values), (1,) * 4, ((0,) * 4,) * 4, 1, form)
 
 
 class TestCorrelators:
-    @given(st.tuples(FINITE, FINITE, FINITE, FINITE), st.sampled_from(FORMS))
+    @given(st.tuples(*[CORRELATION] * 4), st.sampled_from(FORMS))
     @example((-0.0, 0.0, -0.0, -0.0), "bell")
-    @example((-0.0, 0.0, -0.0, -0.0), "signed")
     @example((0.5, 0.5, -0.0, -0.0), "symmetric")
     @example((0.1, 0.2, 0.3, 0.4), "symmetric")
-    def test_float_rows_reproduce_chsh_combination(self, p, form):
+    def test_float_record_reproduces_chsh_combination(self, p, form):
         c = exact(p, form)
-        want = chsh_combination(p, form)
-        assert same_bits(c.value, want)
-        assert same_bits(c.combination(c.signs(form))[0], want)
+        assert same_bits(c.value, chsh_combination(p, form))
         assert c.std_error == 0.0
+        assert [e.value for e in c.correlations()] == list(p)
+
+    @given(st.lists(COUNT, min_size=4, max_size=4), st.sampled_from(FORMS), st.data())
+    def test_sign_row_of_an_integer_record_is_its_value(self, totals, form, data):
+        # R++ + R-- - R+- - R-+ = total - 2 (R+- + R-+) over each run's total.
+        nums = [t - 2 * data.draw(st.integers(0, t)) for t in totals]
+        c = Correlators(tuple(nums), tuple(totals), ((0,) * 4,) * 4, 1, form)
+        e = [Fraction(x, t) for x, t in zip(nums, totals)]
+        assert c.combination(c.signs(form)) == (c.value, 0.0)
+        assert c.value == float(chsh_combination(e, form))
 
     def test_rows(self):
         c = exact((0.3, 0.9, -0.2, -0.5), "bell")
         assert c.signs("bell") == (-1, 1, 1, 1)
         assert c.signs("symmetric") == (-1, 1, -1, -1)
         assert c.signs("signed") == (1, -1, 1, 1)
+
+    def test_a_zero_modulus_argument_takes_the_plus_sign(self):
+        assert exact((-0.0, 0.0, -0.0, 0.0), "symmetric").signs("symmetric") == (1, -1, 1, 1)
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError, match="form"):
@@ -376,11 +389,25 @@ class TestCorrelators:
         zero = (0, 0, 0, 0)
         cov = ((2, 0, 0, 0), zero, (0, 0, 1, 0), (0, 0, 0, 3))
         c = Correlators((1, 1, 1, 1), (3, 7, 11, 13), cov, 10 ** 20 + 1, "signed")
-        value, se = c.combination((1, -1, 1, 1))
         exact = Fraction(1, 3) - Fraction(1, 7) + Fraction(1, 11) + Fraction(1, 13)
-        assert (value, se) == (float(exact), math.sqrt(float(Fraction(6, 10 ** 20 + 1))))
+        assert (c.value, c.std_error) == (float(exact), math.sqrt(float(Fraction(6, 10 ** 20 + 1))))
+        assert c.combination((1, -1, 1, 1)) == (c.value, c.std_error)
         assert [e.n_samples for e in c.correlations()] == [3, 7, 11, 13]
         assert [e.value for e in c.correlations()] == [1 / 3, 1 / 7, 1 / 11, 1 / 13]
+        assert [e.std_error for e in c.correlations()] == [
+            math.sqrt(float(Fraction(v, 10 ** 20 + 1))) for v in (2, 0, 1, 3)]
+
+    def test_a_given_s_is_kept(self):
+        # dataclasses.replace(record, s_value=...) shifts S alone, as the benchmark's check test does.
+        c = exact((0.3, 0.9, -0.2, -0.5), "bell")
+        shifted = dataclasses.replace(c, s_value=c.value + 0.5)
+        assert (shifted.value, shifted.s_value) == (c.value + 0.5, c.value + 0.5)
+        assert (shifted.std_error, shifted.correlations()) == (c.std_error, c.correlations())
+
+    def test_a_single_correlation_has_no_s(self):
+        c = Correlators((3,), (5,), ((16,),), 125, "signed")
+        assert (c.value, c.std_error) == (None, None)
+        assert c.correlations() == (CorrelationEstimate(0.6, math.sqrt(16 / 125), 5),)
 
 
 class TestGisinSettings:
