@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TwoQubitState, UnitVector3, check_integer, correlation_tensor
+from .algebra import TwoQubitState, UnitVector3, check_count, check_integer, correlation_tensor
 from .chsh import CorrelationEstimate, Correlators, JointProbabilities, MeasurementSettings, born_probabilities
-from .lhv import _MAX_COUNT
 
 
 class InsufficientDataError(ValueError):
@@ -53,9 +52,10 @@ class CoincidenceCounts:
     n_pairs: int
 
     def __post_init__(self):
-        counts = (self.r_pp, self.r_pm, self.r_mp, self.r_mm)
         for name, value in vars(self).items():
-            check_integer(name, value)
+            if type(value) is not int:  # stored as ints, so estimate_E's exact variance cannot wrap
+                object.__setattr__(self, name, check_integer(name, value))
+        counts = (self.r_pp, self.r_pm, self.r_mp, self.r_mm)
         if any(c < 0 for c in counts):
             raise ValueError(f"negative count in {counts}")
         if self.n_pairs < 1:
@@ -85,13 +85,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_pairs", "seed"):
-            check_integer(name, getattr(self, name))
+        object.__setattr__(self, "n_pairs", check_count("n_pairs", self.n_pairs))
+        check_integer("seed", self.seed)
         for name, value in (("efficiency", self.efficiency), ("misalignment_sigma", self.misalignment_sigma)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
-        if not (1 <= self.n_pairs <= _MAX_COUNT):
-            raise ValueError("n_pairs must be in [1, 2**63 - 1]")
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError("efficiency must be in (0, 1]")
         if not (math.isfinite(self.misalignment_sigma) and self.misalignment_sigma >= 0.0):

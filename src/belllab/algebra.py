@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,11 +94,19 @@ class TwoQubitState:
         return self.amplitudes.reshape(2, 2)
 
 
-def check_integer(name: str, value) -> None:
-    """Raise TypeError unless value is an integer (a bool is not)."""
+def check_integer(name: str, value) -> int:
+    """value as a Python int, on which count arithmetic cannot wrap; TypeError unless an integer (a bool is not)."""
     # Exact int first: the ABC check alone is slower, and agr builds counts on every run.
     if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
         raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    return int(value)
+
+
+def check_count(name: str, n) -> int:
+    """n as a Python int, raising unless it is an integer in [1, 2**63 - 1], as numpy's int64 samplers need."""
+    if not 1 <= (n := check_integer(name, n)) <= 2 ** 63 - 1:
+        raise ValueError(f"{name} must be in [1, 2**63 - 1]")
+    return n
 
 
 def check_normalized(c1: float, c2: float, tol: float = 1e-9) -> float:
@@ -137,25 +145,15 @@ def canonical_coefficients(concurrence: float, sign: int = 1) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class SchmidtForm:
-    """Schmidt data of a two-qubit pure state.
+    """Schmidt coefficients ``c1 >= c2 >= 0`` of a two-qubit pure state and the relative sign of its terms.
 
-    ``c1 >= c2 >= 0`` are the singular values of the amplitude matrix.
-    ``basis_a`` / ``basis_b`` are single-qubit unitaries whose k-th columns
-    are the local Schmidt vectors, and ``sign`` is the +-1 relative sign
-    between the two terms (the sign of the coefficient product when the
-    state has real amplitudes; genuinely complex relative phases are folded
-    into ``basis_b`` and ``sign`` is +1).  Reconstruction:
-
-        amplitudes = c1 * outer(a0, b0) + sign * c2 * outer(a1, b1)
-
-    up to a global phase.
+    In local Schmidt bases phase-fixed to a real positive first nonzero component the state is c1|a0 b0> +
+    e^{i delta} c2|a1 b1> up to a global phase; ``sign`` is e^{i delta} when that is +-1 (real amplitudes), else +1.
     """
 
     c1: float
     c2: float
     sign: int
-    basis_a: np.ndarray = field(repr=False)
-    basis_b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         # + 0.0 clears the sign of a zero c2, which LAPACK may return as -0.0.
@@ -166,14 +164,6 @@ class SchmidtForm:
             raise ValueError("Schmidt coefficients not normalized")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
-        for name in ("basis_a", "basis_b"):
-            u = np.asarray(getattr(self, name), dtype=complex).copy()
-            if u.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
-            if not (np.abs(u.conj().T @ u - IDENTITY2) <= NORM_TOL).all():  # NaN fails
-                raise ValueError(f"{name} is not unitary")
-            u.setflags(write=False)
-            object.__setattr__(self, name, u)
 
 
 def _first_nonzero_phase(v: np.ndarray) -> complex:
@@ -185,32 +175,18 @@ def _first_nonzero_phase(v: np.ndarray) -> complex:
 
 
 def schmidt_decompose(state: TwoQubitState) -> SchmidtForm:
-    """Schmidt decomposition via SVD of the 2x2 amplitude matrix.
+    """Schmidt form from the SVD M = u diag(s) vh of the amplitude matrix; ``sign`` is +1 below ENTANGLEMENT_TOL.
 
-    Basis columns are ordered by descending singular value and phase-fixed so
-    their first nonzero component is real positive; the residual relative
-    phase between the two terms becomes ``sign`` when it is +-1 (real states)
-    and is absorbed into ``basis_b`` otherwise.
+    Term k's phase is that of row k of vh once the phase fixing column k of u has moved into it.
     """
     u, s, vh = np.linalg.svd(state.amplitude_matrix())
-
-    # Fix column phases of u, pushing them into the rows of vh.
-    ph = np.array([_first_nonzero_phase(u[:, 0]), _first_nonzero_phase(u[:, 1])])
-    u *= ph.conj()
-    vh *= ph[:, None]
-    # Fix row phases of vh, keeping the leftover as per-term coefficients.
-    coeff_phase = np.array([_first_nonzero_phase(vh[0]), _first_nonzero_phase(vh[1])])
-    vh *= coeff_phase.conj()[:, None]
-
     sign = 1
     if s[1] > ENTANGLEMENT_TOL:
-        rel = coeff_phase[1] / coeff_phase[0]  # residual relative phase e^{i delta}
+        p0, p1 = (_first_nonzero_phase(vh[k] * _first_nonzero_phase(u[:, k])) for k in (0, 1))
+        rel = p1 / p0  # residual relative phase e^{i delta}
         if abs(rel.imag) <= 1e-11:
             sign = 1 if rel.real > 0 else -1
-        else:
-            vh[1, :] *= rel
-
-    return SchmidtForm(c1=float(s[0]), c2=float(s[1]), sign=sign, basis_a=u, basis_b=vh.T)
+    return SchmidtForm(c1=float(s[0]), c2=float(s[1]), sign=sign)
 
 
 def concurrence(form: SchmidtForm) -> float:

@@ -154,7 +154,12 @@ class Correlators:
     s_value: float | None = None
 
     def __post_init__(self):
-        if self.s_value is None and len(self.numerators) == 4:
+        k, cov = len(self.numerators), self.covariance
+        if not (k == len(self.denominators) == len(cov) >= 1 and all(len(row) == k for row in cov)
+                and all(type(d) is int and d >= 1 for d in (*self.denominators, self.cov_denominator))
+                and self.form in ("bell", "symmetric", "signed")):
+            raise ValueError("Correlators needs k numerators, a k x k covariance, Python-int denominators >= 1, a known form")
+        if self.s_value is None and k == 4:
             d, t = self._terms()
             object.__setattr__(self, "s_value", chsh_combination(t, self.form) / d)
 

@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import UnitVector3, check_integer
+from .algebra import UnitVector3, check_count, check_integer
 from .chsh import CorrelationEstimate, Correlators, MeasurementSettings
 
 # Sampled models draw in fixed-size blocks so results depend only on (seed, n).
 # At 2**14 a block's lambda, sampler, response and product arrays take about
 # 2 MB together, so each numpy pass over them runs in a per-core L2 cache.
 _BLOCK = 1 << 14
-_MAX_COUNT = 2 ** 63 - 1  # largest count numpy's int64 samplers accept
 
 
 def _sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -209,9 +208,6 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     Other models draw lambda once per block, shared by every pair, and
     evaluate each distinct setting's response once per side.
     """
-    check_integer("sample count", n)
-    if not 1 <= n <= _MAX_COUNT:
-        raise ValueError("sample count must be in [1, 2**63 - 1]")
     if not isinstance(seed, np.random.SeedSequence):
         check_integer("seed", seed)
         if seed < 0:
@@ -243,8 +239,8 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
 
 def _correlators(model, pairs, n: int, seed) -> Correlators:
     """The pairs' correlations over one shared stream, with the sample covariance (ddof 1) of their means."""
+    n = check_count("sample count", n)  # a Python int, so n * n cannot wrap
     sums, moments = _shared_stream_sums(model, pairs, n, seed)
-    n = int(n)  # a numpy integer would wrap in n * n
     cov = (n * moments - np.outer(sums, sums)).tolist()
     return Correlators(tuple(sums.tolist()), (n,) * len(pairs), tuple(map(tuple, cov)),
                        n * n * max(n - 1, 1), "symmetric")

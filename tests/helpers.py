@@ -3,6 +3,7 @@ import csv
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,10 +81,20 @@ def projector(n: UnitVector3) -> np.ndarray:
     return 0.5 * (IDENTITY2 + pauli_dot(n))
 
 
-def reconstruct(form: SchmidtForm) -> TwoQubitState:
-    """State rebuilt from Schmidt data (global phase fixed arbitrarily)."""
-    m = form.c1 * np.outer(form.basis_a[:, 0], form.basis_b[:, 0])
-    m = m + form.sign * form.c2 * np.outer(form.basis_a[:, 1], form.basis_b[:, 1])
+class ReferenceSchmidt(NamedTuple):
+    """A Schmidt form with its local bases: single-qubit unitaries whose k-th columns are the local
+    Schmidt vectors, each phase-fixed to a real positive first nonzero component.  A genuinely
+    complex relative phase is folded into ``basis_b``, where ``form.sign`` is +1."""
+
+    form: SchmidtForm
+    basis_a: np.ndarray
+    basis_b: np.ndarray
+
+
+def reconstruct(ref: ReferenceSchmidt) -> TwoQubitState:
+    """State c1 a0 (x) b0 + sign c2 a1 (x) b1 rebuilt from the reference's bases (global phase fixed arbitrarily)."""
+    form, a, b = ref
+    m = form.c1 * np.outer(a[:, 0], b[:, 0]) + form.sign * form.c2 * np.outer(a[:, 1], b[:, 1])
     return TwoQubitState(m.reshape(4))
 
 
@@ -106,8 +117,10 @@ def kron_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> 
 #
 # pauli_dot, tensor_observable, born_probabilities and schmidt_decompose as
 # they were written before they dropped numpy's generic wrappers (np.kron,
-# np.clip, per-column phase loops).  The rewrites do the same floating-point
-# operations, so these are their bit-identity oracles, signed zeros included.
+# np.clip, per-column phase loops) and, for schmidt_decompose, the local bases.
+# The rewrites do the same floating-point operations, so these are their
+# bit-identity oracles, signed zeros included; the reference Schmidt bases
+# also show that the sign convention rebuilds each state.
 
 
 def same_bits(got, want) -> bool:
@@ -135,7 +148,7 @@ def reference_born_probabilities(tensor, a: np.ndarray, b: np.ndarray) -> JointP
     return JointProbabilities(*(float(x) for x in p))
 
 
-def reference_schmidt_decompose(state: TwoQubitState) -> SchmidtForm:
+def reference_schmidt_decompose(state: TwoQubitState) -> ReferenceSchmidt:
     m = state.amplitude_matrix()
     u, s, vh = np.linalg.svd(m)
     u = u.copy()
@@ -156,7 +169,7 @@ def reference_schmidt_decompose(state: TwoQubitState) -> SchmidtForm:
             sign = 1 if rel.real > 0 else -1
         else:
             vh[1, :] *= rel
-    return SchmidtForm(c1=float(s[0]), c2=float(s[1]), sign=sign, basis_a=u, basis_b=vh.T)
+    return ReferenceSchmidt(SchmidtForm(c1=float(s[0]), c2=float(s[1]), sign=sign), u, vh.T)
 
 
 # ------------------------------------------------ per-pair misalignment sampler

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -141,7 +142,7 @@ class TestSimulateRun:
 
     def test_n_pairs_range(self):
         ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=2 ** 63 - 1)
-        ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=np.int64(10))
+        assert type(ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=np.int64(10)).n_pairs) is int
         # 2**64 used to overflow inside the sampler instead of failing here.
         with pytest.raises(ValueError):
             ExperimentConfig(state=SINGLET, settings=OPTIMAL, n_pairs=2 ** 63)
@@ -386,6 +387,17 @@ class TestCoincidenceCounts:
 
     def test_accepts_numpy_integers(self):
         assert CoincidenceCounts(*np.arange(4), n_pairs=np.int64(6)).total() == 6
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        # Kept as np.int64, these counts wrapped in estimate_E's exact variance: std_error 0.0 and a RuntimeWarning.
+        big = np.int64(2 ** 39)
+        counts = CoincidenceCounts(big, big, big, big, n_pairs=np.int64(2 ** 41))
+        assert all(type(v) is int for v in vars(counts).values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_E(counts)
+        assert est == estimate_E(CoincidenceCounts(*(2 ** 39,) * 4, n_pairs=2 ** 41))
+        assert est.std_error == 6.743495761743046e-07 == math.sqrt(float(Fraction(1, 2 ** 41)))
 
 
 class TestMisalignmentForDamping:

@@ -404,6 +404,38 @@ class TestCorrelators:
         assert (shifted.value, shifted.s_value) == (c.value + 0.5, c.value + 0.5)
         assert (shifted.std_error, shifted.correlations()) == (c.std_error, c.correlations())
 
+    ZERO4 = ((0,) * 4,) * 4
+
+    @pytest.mark.parametrize("fields", [
+        ((1, 0, 0, 1), (2,) * 4, ((0,) * 3,) * 3, 1, "signed"),
+        ((1, 0, 0, 1), (2,) * 3, ZERO4, 1, "signed"),
+        ((1, 0, 0, 1), (2, 2, -2, 2), ZERO4, 1, "signed"),
+        ((1, 0, 0, 1), (2, 2, 0, 2), ZERO4, 1, "signed"),
+        ((1, 0, 0, 1), (2,) * 4, ZERO4, 0, "signed"),
+        ((1, 0, 0, 1), (2,) * 4, ZERO4, -8, "signed"),
+        ((1, 0, 0, 1), (2, 2, 2.0, 2), ZERO4, 1, "signed"),
+        ((1, 0, 0, 1), (2, True, 2, 2), ZERO4, 1, "signed"),
+        ((1, 0, 0, 1), (2, np.int64(2), 2, 2), ZERO4, 1, "signed"),
+        ((1, 0, 0, 1), (2,) * 4, ZERO4, 1.0, "signed"),
+        ((1, 0, 0, 1), (2,) * 4, ((0,) * 4,) * 3 + ((0,) * 3,), 1, "signed"),
+        ((), (), (), 1, "signed"),
+        ((3,), (5,), ((16,),), 125, "lab"),
+        ((3,), (5,), ((16,),), 125, None),
+    ], ids=["3x3-covariance", "3-denominators", "negative-denominator", "zero-denominator",
+            "zero-cov-denominator", "negative-cov-denominator", "float-denominator", "bool-denominator",
+            "numpy-denominator", "float-cov-denominator", "ragged-covariance", "empty", "one-pair-unknown-form",
+            "one-pair-no-form"])
+    def test_malformed_record_rejected(self, fields):
+        # These reported a std_error from a 3x3 block, raised StopIteration or ZeroDivisionError, or were accepted.
+        with pytest.raises(ValueError, match="Correlators needs"):
+            Correlators(*fields)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_sampled_float_record_accepted(self, k):
+        cov = tuple(tuple(0.25 * (i == j) for j in range(k)) for i in range(k))
+        c = Correlators((0.5,) * k, (7,) * k, cov, 49, "symmetric")
+        assert [e.value for e in c.correlations()] == [0.5 / 7] * k
+
     def test_a_single_correlation_has_no_s(self):
         c = Correlators((3,), (5,), ((16,),), 125, "signed")
         assert (c.value, c.std_error) == (None, None)
