@@ -140,7 +140,8 @@ class Correlators:
     """Correlations E_i = numerators[i] / denominators[i] in pairs() order, Cov(E_i, E_j) =
     covariance[i][j] / cov_denominator, and the report's CHSH form (see chsh_combination).
 
-    Estimates keep Python-int counts, so S, each E and each standard error are rounded once, S on
+    Estimates keep Python-int counts, each within its denominator in modulus (sampled models give
+    finite float sums instead), so S, each E and each standard error are rounded once, S on
     construction and the others on first read.  S and its error exist for a full quadruple only.
     """
 
@@ -159,6 +160,10 @@ class Correlators:
                 and all(type(d) is int and d >= 1 for d in (*self.denominators, self.cov_denominator))
                 and self.form in ("bell", "symmetric", "signed")):
             raise ValueError("Correlators needs k numerators, a k x k covariance, Python-int denominators >= 1, a known form")
+        # A count sums d terms in [-1, 1], so |x| <= d; numpy ints would wrap in _terms' products.
+        if not all(-d <= x <= d if type(x) is int else isinstance(x, float) and math.isfinite(x)
+                   for x, d in zip(self.numerators, self.denominators)):
+            raise ValueError("Correlators needs each numerator a Python int within its denominator, or a finite float")
         if self.s_value is None and k == 4:
             d, t = self._terms()
             object.__setattr__(self, "s_value", chsh_combination(t, self.form) / d)

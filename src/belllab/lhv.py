@@ -20,13 +20,16 @@ moments M (0 when n = 1), so S and each standard error are rounded once.
 The two built-in models themselves draw no lambda: the statistics of n draws
 depend only on the counts of their +-1 outcome patterns, exactly
 Multinomial(n, p) with p in closed form, so one multinomial draw costs the
-same at any n.  ``AveragedLinearModel`` is read as Bell's 1971 average of
-local +-1 outcomes, each +1 with probability (1 + r)/2 given lambda, which
-keeps E = -(a . b)/3 and gives the standard errors of +-1 draws.  Every
-other model, subclasses of the built-in ones included, is sampled.
+same at any n; its sums are exact in int64 (``_shared_stream_sums``), and
+n M - s s^T is formed in Python ints.  ``AveragedLinearModel`` is read as
+Bell's 1971 average of local +-1 outcomes, each +1 with probability (1 + r)/2
+given lambda, which keeps E = -(a . b)/3 and gives the standard errors of +-1
+draws.  Every other model, subclasses of the built-in ones included, is
+sampled.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,9 +129,59 @@ class AveragedLinearModel:
 BUILTIN_MODELS = {model.name: model for model in (BellSignModel, AveragedLinearModel)}
 
 
+# Pattern i of k signs has s_j = -1 where bit j of i is set; built once, read-only.
+_SIGNS = {k: 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1) for k in range(1, 5)}
+_FOURFOLD = _SIGNS[4].prod(axis=1)  # s_1 s_2 s_3 s_4 per pattern of four
+for _table in (*_SIGNS.values(), _FOURFOLD):
+    _table.setflags(write=False)
+del _table
+
+
+@functools.cache
+def _pair_products(k: int, x: tuple, y: tuple, sign: int) -> np.ndarray:
+    """Read-only int64 matrix of sign * s_x s_y, one row per pattern of k signs and one column per pair.
+
+    The estimators pass at most four pairs over k <= 4 items, so the cache holds few matrices.
+    """
+    signs = _SIGNS[k]
+    prod = sign * signs[:, x] * signs[:, y]
+    prod.setflags(write=False)
+    return prod
+
+
 def _angles(v: np.ndarray) -> np.ndarray:
-    """Angles between the rows of v, as atan2(|u x w|, u . w): accurate near 0 and pi, unlike acos."""
-    return np.arctan2(np.linalg.norm(np.cross(v[:, None], v[None]), axis=2), v @ v.T)
+    """Angles between the rows of v, as atan2(|u x w|, u . w): accurate near 0 and pi, unlike acos.
+
+    The k x k x 3 cross products, their squares and the sums over the last axis are the
+    elementwise operations np.cross and np.linalg.norm perform, so the angles have their bits.
+    """
+    u, w = v[:, (1, 2, 0)], v[:, (2, 0, 1)]
+    cross = u[:, None] * w[None] - w[:, None] * u[None]
+    return np.arctan2(np.sqrt(np.add.reduce(cross * cross, axis=2)), v @ v.T)
+
+
+def _triple(p, q, r) -> float:
+    """The determinant p . (q x r) of three 3-tuples."""
+    return (p[0] * (q[1] * r[2] - q[2] * r[1]) + p[1] * (q[2] * r[0] - q[0] * r[2])
+            + p[2] * (q[0] * r[1] - q[1] * r[0]))
+
+
+def _empty_pattern(rows) -> int:
+    """Index of the empty sign pattern sign(c), +1 where c_i = 0, of a null vector c of four 3-vectors.
+
+    At rank 3 the null space is one line, along the cofactors c_i = (-1)^i det(the other three),
+    and c = sigma_1 sigma_2 sigma_3 n for the unit null vector n the SVD returns up to sign.  With
+    every |c_i| > 1e-9, far above the cofactors' rounding (about 1e-15), and sigma_1 sigma_2 <= 2,
+    each |n_i| > 5e-10 / sigma_3 is far above the SVD's error in it (about 1e-16 / sigma_3): the two
+    give the same signs, or all opposite ones.  Otherwise, coplanar vectors among them, the SVD gives c.
+    Either of sign(c) and -sign(c) gives the law the same bits: both cells are empty, and the
+    pair terms of the Walsh sum are even in s.
+    """
+    v0, v1, v2, v3 = rows
+    c = (_triple(v1, v2, v3), -_triple(v0, v2, v3), _triple(v0, v1, v3), -_triple(v0, v1, v2))
+    if min(map(abs, c)) <= 1e-9:
+        c = np.linalg.svd(np.array(rows).T)[2][-1]
+    return sum(1 << i for i, ci in enumerate(c) if ci < 0.0)
 
 
 def _sign_pattern_law(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -146,21 +199,21 @@ def _sign_pattern_law(pairs) -> tuple[np.ndarray, np.ndarray]:
     with W the pair terms, and M4 = -prod(s*) (1 + W(s*)).  This holds at any
     rank, coplanar vectors included, and leaves p(s*) = p(-s*) exactly 0.
     Measure-zero ties do not matter.  Returns p, one entry per pattern (bit i
-    of the index set when s_i = -1), and the integer matrix of each pattern's
-    pair products -s_x s_y, one column per pair.
+    of the index set when s_i = -1), and the read-only integer matrix of each
+    pattern's pair products -s_x s_y, one column per pair.
     """
-    vectors = list(dict.fromkeys(v for pair in pairs for v in pair))
-    k = len(vectors)
-    v = np.array([u.as_array() for u in vectors])
-    signs = 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
+    index, x, y = {}, [], []  # distinct vectors by components: float ==, so 0.0 and -0.0 merge
+    for a, b in pairs:
+        x.append(index.setdefault((a.x, a.y, a.z), len(index)))
+        y.append(index.setdefault((b.x, b.y, b.z), len(index)))
+    k, rows = len(index), list(index)
+    signs, v = _SIGNS[k], np.array(rows)
     rho = 1.0 - 2.0 * _angles(v) / math.pi
     walsh = 1.0 + (np.einsum("si,ij,sj->s", signs, rho, signs) - k) / 2.0
     if k == 4:
-        c = np.linalg.svd(v.T)[2][-1]
-        empty = int((c < 0.0) @ (1 << np.arange(4)))
-        walsh -= signs.prod(axis=1) * (signs[empty].prod() * walsh[empty])
-    x, y = ([vectors.index(pair[side]) for pair in pairs] for side in (0, 1))
-    return np.maximum(walsh / 2 ** k, 0.0), -signs[:, x] * signs[:, y]
+        empty = _empty_pattern(rows)
+        walsh -= _FOURFOLD * (_FOURFOLD[empty] * walsh[empty])
+    return np.maximum(walsh / 2 ** k, 0.0), _pair_products(k, tuple(x), tuple(y), -1)
 
 
 def _sides(pairs) -> tuple[list, list, list[tuple[int, int]]]:
@@ -181,32 +234,36 @@ def _linear_outcome_law(pairs) -> tuple[np.ndarray, np.ndarray]:
     so p(o) = 2^-k (1 + sum_{i<j} o_i o_j g_ij + [k = 4] o_1 o_2 o_3 o_4
     (3/5)(g_12 g_34 + g_13 g_24 + g_14 g_23)).  Each cell is > 0, as each
     factor is.  Returns p (bit i of the index set when o_i = -1, the A items
-    first) and the integer matrix of each pattern's pair products o_x o_y.
+    first) and the read-only integer matrix of each pattern's pair products o_x o_y.
     """
-    side_a, side_b, index = _sides(pairs)
+    side_a, side_b = {}, {}  # distinct settings by components, as in _sign_pattern_law
+    x = [side_a.setdefault((a.x, a.y, a.z), len(side_a)) for a, _ in pairs]
+    y = [side_b.setdefault((b.x, b.y, b.z), len(side_b)) for _, b in pairs]
     k = len(side_a) + len(side_b)
-    r = np.array([u.as_array() for u in side_a] + [-u.as_array() for u in side_b])
+    r = np.array([*side_a, *((-bx, -by, -bz) for bx, by, bz in side_b)])
     g = r @ r.T / 3.0
     np.fill_diagonal(g, 0.0)
-    signs = 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
+    signs = _SIGNS[k]
     walsh = 1.0 + np.einsum("si,ij,sj->s", signs, g, signs) / 2.0
     if k == 4:
-        walsh += signs.prod(axis=1) * (0.6 * (g[0, 1] * g[2, 3] + g[0, 2] * g[1, 3] + g[0, 3] * g[1, 2]))
-    x, y = np.array(index).T
-    return walsh / 2 ** k, signs[:, x] * signs[:, len(side_a) + y]
+        walsh += _FOURFOLD * (0.6 * (g[0, 1] * g[2, 3] + g[0, 2] * g[1, 3] + g[0, 3] * g[1, 2]))
+    return walsh / 2 ** k, _pair_products(k, tuple(x), tuple(len(side_a) + j for j in y), 1)
 
 
 _EXACT_LAWS = {BellSignModel: _sign_pattern_law, AveragedLinearModel: _linear_outcome_law}
 
 
-def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[list, list]:
     """Sums of the pair products over one hidden-variable stream of n draws.
 
     With P_i = response_a(x_i) * response_b(y_i) per draw, returns the k sums
-    of P_i and the k x k matrix of the sums of P_i * P_j.  The built-in models
-    draw their pattern counts (``_EXACT_LAWS``), so both hold Python ints.
-    Other models draw lambda once per block, shared by every pair, and
-    evaluate each distinct setting's response once per side.
+    of P_i and the k x k matrix of the sums of P_i * P_j, as lists.  The
+    built-in models draw their pattern counts (``_EXACT_LAWS``) and sum them
+    in int64, exactly: the counts add up to n <= 2**63 - 1 and each entry of
+    the pattern products is +-1, so every partial sum is a signed sum of
+    counts, at most n in modulus.  Those sums are returned as Python ints.
+    Other models draw lambda once per block, shared by every pair, evaluate
+    each distinct setting's response once per side, and return floats.
     """
     if not isinstance(seed, np.random.SeedSequence):
         check_integer("seed", seed)
@@ -216,8 +273,8 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
     law = _EXACT_LAWS.get(type(model))
     if law is not None:
         p, prod = law(pairs)
-        counts, prod = rng.multinomial(n, p).astype(object), prod.astype(object)
-        return counts @ prod, (prod.T * counts) @ prod
+        counts = rng.multinomial(n, p)
+        return (counts @ prod).tolist(), ((prod.T * counts) @ prod).tolist()
     side_a, side_b, index = _sides(pairs)
     sums = np.zeros(len(pairs))
     moments = np.zeros((len(pairs), len(pairs)))
@@ -234,16 +291,15 @@ def _shared_stream_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndar
         sums += prod.sum(axis=1)
         moments += prod @ prod.T
         done += m
-    return sums, moments
+    return sums.tolist(), moments.tolist()
 
 
 def _correlators(model, pairs, n: int, seed) -> Correlators:
     """The pairs' correlations over one shared stream, with the sample covariance (ddof 1) of their means."""
     n = check_count("sample count", n)  # a Python int, so n * n cannot wrap
     sums, moments = _shared_stream_sums(model, pairs, n, seed)
-    cov = (n * moments - np.outer(sums, sums)).tolist()
-    return Correlators(tuple(sums.tolist()), (n,) * len(pairs), tuple(map(tuple, cov)),
-                       n * n * max(n - 1, 1), "symmetric")
+    cov = tuple(tuple(n * m - si * sj for m, sj in zip(row, sums)) for si, row in zip(sums, moments))
+    return Correlators(tuple(sums), (n,) * len(pairs), cov, n * n * max(n - 1, 1), "symmetric")
 
 
 def estimate_correlation(model, a: UnitVector3, b: UnitVector3, n: int, seed) -> CorrelationEstimate:

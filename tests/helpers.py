@@ -15,6 +15,7 @@ from belllab import (
     AveragedLinearModel,
     BellSignModel,
     CoincidenceCounts,
+    Correlators,
     JointProbabilities,
     MeasurementSettings,
     Plane,
@@ -28,7 +29,6 @@ from belllab import (
 )
 from belllab.agr import mean_probabilities
 from belllab.algebra import ENTANGLEMENT_TOL, _first_nonzero_phase
-from belllab.lhv import _angles
 from belllab.regions import VIOLATION_THRESHOLD, _Vector
 
 
@@ -349,7 +349,7 @@ def quadrature_linear_law(pairs) -> np.ndarray:
     side_b = list(dict.fromkeys(y for _, y in pairs))
     r = np.column_stack([lam @ a.as_array() for a in side_a] + [-(lam @ b.as_array()) for b in side_b])
     k = r.shape[1]
-    signs = 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
+    signs = reference_signs(k)
     return np.array([w @ np.prod(1.0 + o * r, axis=1) for o in signs]) / 2 ** k
 
 
@@ -405,6 +405,75 @@ class SampledBellSign:
     response_b = BellSignModel.response_b
 
 
+# ------------------------------------------------ reference exact LHV laws
+#
+# The exact laws and pattern sums as lhv first computed them: np.cross and
+# np.linalg.norm for the angles, sign tables and pair products rebuilt on every
+# call, the empty cell's null vector always from the SVD, and the sums of the
+# pattern counts in object arrays of Python ints.  lhv's rewrite does the same
+# floating-point operations, so these are its bit-identity oracles.
+
+
+def reference_angles(v: np.ndarray) -> np.ndarray:
+    """Angles between the rows of v, as atan2(|u x w|, u . w)."""
+    return np.arctan2(np.linalg.norm(np.cross(v[:, None], v[None]), axis=2), v @ v.T)
+
+
+def reference_signs(k: int) -> np.ndarray:
+    """Pattern i of k signs has s_j = -1 where bit j of i is set."""
+    return 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
+
+
+def reference_sign_pattern_law(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """BellSignModel's pattern probabilities and pair products -s_x s_y, as lhv._sign_pattern_law defines them."""
+    vectors = list(dict.fromkeys(v for pair in pairs for v in pair))
+    k = len(vectors)
+    v = np.array([u.as_array() for u in vectors])
+    signs = reference_signs(k)
+    rho = 1.0 - 2.0 * reference_angles(v) / math.pi
+    walsh = 1.0 + (np.einsum("si,ij,sj->s", signs, rho, signs) - k) / 2.0
+    if k == 4:
+        c = np.linalg.svd(v.T)[2][-1]
+        empty = int((c < 0.0) @ (1 << np.arange(4)))
+        walsh -= signs.prod(axis=1) * (signs[empty].prod() * walsh[empty])
+    x, y = ([vectors.index(pair[side]) for pair in pairs] for side in (0, 1))
+    return np.maximum(walsh / 2 ** k, 0.0), -signs[:, x] * signs[:, y]
+
+
+def reference_linear_outcome_law(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """AveragedLinearModel's pattern probabilities and pair products o_x o_y, as lhv._linear_outcome_law defines them."""
+    side_a = list(dict.fromkeys(x for x, _ in pairs))
+    side_b = list(dict.fromkeys(y for _, y in pairs))
+    k = len(side_a) + len(side_b)
+    r = np.array([u.as_array() for u in side_a] + [-u.as_array() for u in side_b])
+    g = r @ r.T / 3.0
+    np.fill_diagonal(g, 0.0)
+    signs = reference_signs(k)
+    walsh = 1.0 + np.einsum("si,ij,sj->s", signs, g, signs) / 2.0
+    if k == 4:
+        walsh += signs.prod(axis=1) * (0.6 * (g[0, 1] * g[2, 3] + g[0, 2] * g[1, 3] + g[0, 3] * g[1, 2]))
+    x, y = np.array([(side_a.index(a), side_b.index(b)) for a, b in pairs]).T
+    return walsh / 2 ** k, signs[:, x] * signs[:, len(side_a) + y]
+
+
+REFERENCE_LAWS = {BellSignModel: reference_sign_pattern_law, AveragedLinearModel: reference_linear_outcome_law}
+
+
+def reference_exact_sums(model, pairs, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Object arrays of the Python-int pair sums and moment sums over one multinomial draw of the pattern counts."""
+    p, prod = REFERENCE_LAWS[type(model)](pairs)
+    counts, prod = np.random.default_rng(seed).multinomial(n, p).astype(object), prod.astype(object)
+    return counts @ prod, (prod.T * counts) @ prod
+
+
+def reference_correlators(model, pairs, n: int, seed) -> Correlators:
+    """The built-in models' correlator record, its covariance n M - s s^T formed on object arrays."""
+    sums, moments = reference_exact_sums(model, pairs, n, seed)
+    cov = (n * moments - np.outer(sums, sums)).tolist()
+    return Correlators(tuple(sums.tolist()), (n,) * len(pairs), tuple(map(tuple, cov)),
+                       n * n * max(n - 1, 1), "symmetric")
+
+
 # ---------------------------------------------- triangle-cell sign-pattern law
 #
 # The construction lhv._sign_pattern_law used for the four-fold moment before
@@ -425,15 +494,15 @@ def triangle_cell_law(pairs) -> np.ndarray:
     vectors = list(dict.fromkeys(v for pair in pairs for v in pair))
     k = len(vectors)
     v = np.array([u.as_array() for u in vectors])
-    signs = 1 - 2 * (np.arange(2 ** k)[:, None] >> np.arange(k) & 1)
-    rho = 1.0 - 2.0 * _angles(v) / math.pi
+    signs = reference_signs(k)
+    rho = 1.0 - 2.0 * reference_angles(v) / math.pi
     walsh = 1.0 + (np.einsum("si,ij,sj->s", signs, rho, signs) - k) / 2.0
     if k == 4:
         c = np.linalg.svd(v.T)[2][-1]
         j = int(np.argmax(np.abs(c)))
         cell = np.where(c >= 0.0, 1, -1)
         cell[j] = -cell[j]
-        theta = _angles(cell[:, None] * v)
+        theta = reference_angles(cell[:, None] * v)
         p_cell = (2.0 * math.pi - (theta.sum() - 2.0 * theta[j].sum()) / 2.0) / (4.0 * math.pi)
         m4 = cell.prod() * (16.0 * p_cell - walsh[(1 - cell) // 2 @ (1 << np.arange(4))])
         walsh += signs.prod(axis=1) * m4

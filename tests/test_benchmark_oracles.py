@@ -31,3 +31,11 @@ def test_first_ops_pass_their_oracle(name, tmp_path):
             assert w.check(i, op, w.run(op)) == [], (name, i)
     finally:
         getattr(w, "close", lambda: None)()
+
+
+def test_monte_carlo_first_300_ops_pass_their_oracle(tmp_path):
+    # Gisin and random quadruples alternate, so the exact LHV laws meet both coplanar and rank-3 sets.
+    w = workloads.make("monte_carlo", str(tmp_path))
+    for i in range(300):
+        op = w.op(0, i)
+        assert w.check(i, op, w.run(op)) == [], i

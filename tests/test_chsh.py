@@ -430,6 +430,18 @@ class TestCorrelators:
         with pytest.raises(ValueError, match="Correlators needs"):
             Correlators(*fields)
 
+    @pytest.mark.parametrize("numerators, denominators", [
+        ((3, 0, 0, 0), (1,) * 4),
+        ((float("nan"), 0.0, 0.0, 0.0), (1,) * 4),
+        ((np.int64(2 ** 62), 0, 0, 0), (2 ** 62, 3, 5, 7)),
+        ((True, 0, 0, 0), (1,) * 4),
+        ((float("inf"), 0.0, 0.0, 0.0), (1,) * 4),
+    ], ids=["above-denominator", "nan", "numpy-int", "bool", "inf"])
+    def test_unbounded_or_inexact_numerator_rejected(self, numerators, denominators):
+        # These reported S = 3.0 +- 0.0, S = nan +- 0.0, an S wrapped in int64, or were accepted.
+        with pytest.raises(ValueError, match="numerator"):
+            Correlators(numerators, denominators, self.ZERO4, 1, "bell")
+
     @pytest.mark.parametrize("k", [1, 4])
     def test_sampled_float_record_accepted(self, k):
         cov = tuple(tuple(0.25 * (i == j) for j in range(k)) for i in range(k))

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -31,7 +33,10 @@ from helpers import (
     quadrature_linear_law,
     random_settings,
     random_unit_vector,
+    reference_correlators,
+    reference_linear_outcome_law,
     reference_sample_sphere,
+    reference_sign_pattern_law,
     same_bits,
     triangle_cell_law,
 )
@@ -876,6 +881,136 @@ class TestExactRounding:
         # The exact variance numerator is 0 here; the float formula read 9.8e-18.
         est = chsh_lhv(BellSignModel(), gisin_settings(0.6, 0.8), 2 ** 63 - 1, 3)
         assert est.std_error == 0.0
+
+
+def gisin_quadruple_pairs(seed, count):
+    """Pairs of Gisin's quadruple at ``count`` seeded states, concurrence 0 to 1, both signs of c1 c2."""
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(0.0, math.pi / 2, count)
+    return [gisin_settings(math.cos(t), math.copysign(math.sin(t), rng.random() - 0.5)).pairs() for t in ts]
+
+
+def tilted_plane_pairs(seed, count):
+    """Pairs of ``count`` coplanar quadruples, each in a random plane, so their cofactors are rounding noise, not 0."""
+    rng = np.random.default_rng(seed)
+    quadruples = []
+    for _ in range(count):
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        t = rng.uniform(0.0, 2.0 * math.pi, 4)
+        rows = q @ np.array([np.cos(t), np.zeros(4), np.sin(t)])
+        quadruples.append(quadruple_pairs(*(UnitVector3(*(r / np.linalg.norm(r))) for r in rows.T)))
+    return quadruples
+
+
+def same_law(got, want) -> bool:
+    """Identical probability bits, and pair products equal in value and dtype."""
+    return same_bits(got[0], want[0]) and got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+
+
+def same_record(got, want) -> bool:
+    """Every field of two correlator records equal, Python-int counts of one type, floats bit for bit."""
+    def floats(c):
+        return [c.value, c.std_error] + [x for e in c.correlations() for x in (e.value, e.std_error)]
+
+    return ((got.numerators, got.denominators, got.covariance, got.cov_denominator, got.form)
+            == (want.numerators, want.denominators, want.covariance, want.cov_denominator, want.form)
+            and [type(x) for x in got.numerators] == [type(x) for x in want.numerators]
+            and [e.n_samples for e in got.correlations()] == [e.n_samples for e in want.correlations()]
+            and all(g is w is None or same_bits(g, w) for g, w in zip(floats(got), floats(want))))
+
+
+class TestExactLawBitIdentity:
+    """The exact laws, pattern sums and records against the reference routes they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(PAIR_SETS))
+    def test_sign_law_on_pair_sets(self, name):
+        assert same_law(lhv._sign_pattern_law(PAIR_SETS[name]), reference_sign_pattern_law(PAIR_SETS[name]))
+
+    @pytest.mark.parametrize("name", sorted(LINEAR_PAIR_SETS))
+    def test_linear_law_on_pair_sets(self, name):
+        pairs = LINEAR_PAIR_SETS[name]
+        assert same_law(lhv._linear_outcome_law(pairs), reference_linear_outcome_law(pairs))
+
+    @pytest.mark.parametrize("kind", ["random", "gisin", "tilted-plane"])
+    def test_laws_on_many_quadruples(self, kind):
+        # Tilted planes keep the SVD only through the 1e-9 cofactor margin: their cofactors' signs are noise.
+        quadruples = {"random": lambda: random_quadruple_pairs(70, 3000, False),
+                      "gisin": lambda: gisin_quadruple_pairs(71, 800),
+                      "tilted-plane": lambda: tilted_plane_pairs(75, 800)}[kind]()
+        for pairs in quadruples:
+            (a, b), (_, bp) = pairs[:2]
+            for shape in (pairs, pairs[:1], bell1964_pairs(a, b, bp)):
+                assert same_law(lhv._sign_pattern_law(shape), reference_sign_pattern_law(shape)), shape
+                assert same_law(lhv._linear_outcome_law(shape), reference_linear_outcome_law(shape)), shape
+
+    @pytest.mark.parametrize("law", [lhv._sign_pattern_law, lhv._linear_outcome_law])
+    def test_shared_pair_products_are_read_only(self, law):
+        # Every call with the same pair shape gets one cached matrix, so no caller may write to it.
+        first, second = law(PAIR_SETS["general"])[1], law(PAIR_SETS["general"])[1]
+        assert first is second and not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0
+
+    def test_rank_three_quadruple_needs_no_svd(self, monkeypatch):
+        pairs = PAIR_SETS["general"]
+        assert np.abs(cofactor_null_vector(distinct_vectors(pairs))).min() > 1e-9
+        want = reference_sign_pattern_law(pairs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert same_law(lhv._sign_pattern_law(pairs), want)
+        with pytest.raises(AssertionError, match="svd"):
+            lhv._sign_pattern_law(PAIR_SETS["coplanar"])
+
+    @pytest.mark.parametrize("n", [1, 10 ** 6, 2 ** 53 + 1, 2 ** 63 - 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_records_bit_identical(self, name, n):
+        model = BUILTIN_MODELS[name]()
+        quadruples = [PAIR_SETS["gisin"], PAIR_SETS["coplanar"]] + random_quadruple_pairs(72, 6, False)
+        for seed, pairs in enumerate(quadruples):
+            (a, b), (_, bp) = pairs[:2]
+            for shape in (pairs, pairs[:1], bell1964_pairs(a, b, bp)):
+                got = lhv._correlators(model, shape, n, seed)
+                assert same_record(got, reference_correlators(model, shape, n, seed)), (shape, seed)
+                assert all(type(x) is int for x in (*got.numerators, *itertools.chain(*got.covariance)))
+
+    @pytest.mark.parametrize("n", [1, 10 ** 6, 2 ** 53 + 1, 2 ** 63 - 1])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_public_estimators_bit_identical(self, name, n, monkeypatch):
+        model = BUILTIN_MODELS[name]()
+        s = random_settings(np.random.default_rng(73))
+
+        def run(seed):
+            try:
+                res = bell1964_check(model, s.a, s.b, s.b_prime, n, seed)
+            except PreconditionError as exc:
+                res = str(exc)
+            return chsh_lhv(model, s, n, seed), estimate_correlation(model, s.a, s.b, n, seed), res
+
+        got = [run(seed) for seed in range(3)]
+        monkeypatch.setattr(lhv, "_correlators", reference_correlators)
+        for (chsh, corr, res), (chsh_ref, corr_ref, res_ref) in zip(got, [run(seed) for seed in range(3)]):
+            assert same_record(chsh, chsh_ref)
+            assert corr.n_samples == corr_ref.n_samples == n
+            assert same_bits([corr.value, corr.std_error], [corr_ref.value, corr_ref.std_error])
+            if isinstance(res, str) or isinstance(res_ref, str):  # the 1964 reduction refused alike
+                assert res == res_ref
+            else:
+                assert same_bits(dataclasses.astuple(res), dataclasses.astuple(res_ref))
+
+    def test_sums_are_exact_python_ints_at_the_largest_count(self):
+        # Every pattern's (b', b') product is -1, so that sum must be -n exactly for the 1964 precondition.
+        n = 2 ** 63 - 1
+        rng = np.random.default_rng(74)
+        for seed in range(10):
+            a, b, bp = (random_unit_vector(rng) for _ in range(3))
+            sums, moments = lhv._shared_stream_sums(BellSignModel(), bell1964_pairs(a, b, bp), n, seed)
+            assert sums[0] == -n and moments[0][0] == n
+            assert all(type(x) is int for x in (*sums, *itertools.chain(*moments)))
+            res = bell1964_check(BellSignModel(), a, b, bp, n, seed)
+            assert res.lhs <= res.rhs
 
 
 class TestBell1964:
