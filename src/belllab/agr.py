@@ -20,7 +20,9 @@ Born probabilities are affine in each side's orientation and the mean
 orientation is exp(-sigma^2/2) times the nominal one, so every pair's outcome
 is an independent draw from the probabilities at the shortened orientations.
 The run is therefore sampled exactly with one multinomial draw over the five
-cells, at a cost that does not grow with the number of pairs.
+cells, at a cost that does not grow with the number of pairs.  The four runs
+of an experiment are the four rows of one such draw from one generator,
+default_rng(seed), in pairs() order; simulate_run is its one-row case.
 Every correlation is damped by exactly exp(-sigma^2), which is how a lab-like
 S below the ideal value is produced (uniform detection inefficiency alone
 leaves E unbiased under fair sampling; it only widens the error bars).
@@ -38,7 +40,15 @@ from .chsh import CorrelationEstimate, Correlators, JointProbabilities, Measurem
 
 
 class InsufficientDataError(ValueError):
-    """No coincidences were recorded; the estimator is undefined."""
+    """Some runs recorded no coincidences, so their estimators are undefined.
+
+    ``runs`` holds their positions in the order the counts were given
+    (pairs() order for run_experiment).
+    """
+
+    def __init__(self, runs):
+        self.runs = tuple(runs)
+        super().__init__(f"no coincidences recorded in the runs at position {', '.join(map(str, self.runs))}")
 
 
 @dataclass(frozen=True)
@@ -113,42 +123,57 @@ def misalignment_for_damping(damping: float) -> float:
     return abs(math.sqrt(-math.log(damping)))
 
 
-def mean_probabilities(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3) -> JointProbabilities:
-    """Outcome probabilities of one pair at (a, b), averaged over the pointing error.
+def _mean_laws(cfg: ExperimentConfig, pairs) -> list[JointProbabilities]:
+    """Outcome probabilities of one pair at each orientation pair (a, b), averaged over the pointing error.
 
     These are the Born probabilities at the shortened orientations k*a, k*b
-    with k = exp(-sigma^2/2).
+    with k = exp(-sigma^2/2), from one correlation tensor of the state.
     """
     # exp already underflows to 0.0 for sigma above about 38.6, so the cap moves no
     # value; it keeps sigma ** 2 from overflowing (k = 0 is the uniform limit).
     k = math.exp(-0.5 * min(cfg.misalignment_sigma, 40.0) ** 2)
-    return born_probabilities(correlation_tensor(cfg.state), k * a.as_array(), k * b.as_array())
+    tensor = correlation_tensor(cfg.state)
+    return [born_probabilities(tensor, (k * a.x, k * a.y, k * a.z), (k * b.x, k * b.y, k * b.z))
+            for a, b in pairs]
 
 
-def simulate_run(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3, stream: int = 0) -> CoincidenceCounts:
+def mean_probabilities(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3) -> JointProbabilities:
+    """Outcome probabilities of one pair at (a, b), averaged over the pointing error."""
+    return _mean_laws(cfg, ((a, b),))[0]
+
+
+def _draw(cfg: ExperimentConfig, pairs) -> tuple[CoincidenceCounts, ...]:
+    """Emit cfg.n_pairs pairs at each orientation pair and tally coincidences, from one generator.
+
+    Each pair of orientations is one row of the multinomial draw over the
+    five cells [not recorded, ++, +-, -+, --], with probabilities
+    [1 - eff^2, eff^2 * p_ij] at the mean probabilities p_ij.  numpy draws the
+    rows in order from one default_rng(cfg.seed), as sequential draws of each
+    row would.  The unrecorded cell comes first: at efficiency 1 its
+    probability is exactly 0, numpy draws nothing for it, and the coincidence
+    counts are those of the four-cell draw.
+    """
+    both = cfg.efficiency * cfg.efficiency
+    rows = [[1.0 - both, *(both * x for x in p.as_tuple())] for p in _mean_laws(cfg, pairs)]
+    counts = np.random.default_rng(cfg.seed).multinomial(cfg.n_pairs, rows).tolist()
+    return tuple(CoincidenceCounts(*recorded, n_pairs=cfg.n_pairs) for _, *recorded in counts)
+
+
+def simulate_run(cfg: ExperimentConfig, a: UnitVector3, b: UnitVector3) -> CoincidenceCounts:
     """Emit cfg.n_pairs pairs at orientations (a, b) and tally coincidences.
 
-    One multinomial draw over the five cells [not recorded, ++, +-, -+, --]
-    with probabilities [1 - eff^2, eff^2 * p_ij] at the mean probabilities
-    p_ij.  The unrecorded cell comes first: at efficiency 1 its probability
-    is exactly 0, numpy draws nothing for it, and the coincidence counts are
-    those of the four-cell draw.  ``stream`` separates the random streams of
-    runs sharing one config (the four orientation pairs of estimate_S use
-    streams 0..3); counts are bit-identical for identical (config,
-    orientations, stream).
+    The one-pair case of run_experiment's draw, on the same stream: at
+    (a, b) = cfg.settings.pairs()[0] it gives run_experiment's first counts.
+    Counts are bit-identical for identical (config, orientations).
     """
-    rng = np.random.default_rng([cfg.seed, stream])
-    both = cfg.efficiency * cfg.efficiency
-    p = [1.0 - both, *(both * x for x in mean_probabilities(cfg, a, b).as_tuple())]
-    _, *recorded = rng.multinomial(cfg.n_pairs, p)
-    return CoincidenceCounts(*(int(c) for c in recorded), n_pairs=cfg.n_pairs)
+    return _draw(cfg, ((a, b),))[0]
 
 
 def _correlators(counts) -> Correlators:
     """Each run's E = num / total, independent, with variance (1 - E^2) / total = (total^2 - num^2) / total^3."""
     totals = [c.total() for c in counts]
     if 0 in totals:
-        raise InsufficientDataError("all coincidence counts are zero")
+        raise InsufficientDataError(i for i, t in enumerate(totals) if t == 0)
     nums = [c.r_pp + c.r_mm - c.r_pm - c.r_mp for c in counts]
     d = math.lcm(*totals)
     var = [(t * t - x * x) * (d // t) ** 3 for x, t in zip(nums, totals)]
@@ -163,8 +188,7 @@ def estimate_E(c: CoincidenceCounts) -> CorrelationEstimate:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate the four orientation pairs and assemble their counts and correlations."""
-    pairs = cfg.settings.pairs()
-    counts = tuple(simulate_run(cfg, a, b, stream=i) for i, (a, b) in enumerate(pairs))
+    counts = _draw(cfg, cfg.settings.pairs())
     return ExperimentReport(counts=counts, s=_correlators(counts))
 
 

@@ -81,23 +81,31 @@ def correlation_closed(c1: float, c2: float, a: UnitVector3, b: UnitVector3) -> 
     return 2.0 * c1 * c2 * (a.x * b.x + a.y * b.y) - a.z * b.z
 
 
-def born_probabilities(tensor, a: np.ndarray, b: np.ndarray) -> JointProbabilities:
+def born_probabilities(tensor, a, b) -> JointProbabilities:
     """p_ij = (1 + i a.m_a + j b.m_b + ij a.T.b)/4 for tensor = (m_a, m_b, T) and 3-vectors a, b.
 
     Affine in each vector, so a shortened vector gives the average over the
-    orientations it is the mean of.
+    orientations it is the mean of.  Every dot product is summed left to right
+    in Python floats, and a.T.b forms the row a.T first, so the bits do not
+    depend on the BLAS kernel or SIMD level numpy picks at run time.
     """
-    m_a, m_b, t = tensor
-    ma, mb, e = float(a @ m_a), float(b @ m_b), float(a @ t @ b)
+    (m0, m1, m2), (n0, n1, n2), (t0, t1, t2) = (x.tolist() for x in tensor)
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    ma = a0 * m0 + a1 * m1 + a2 * m2
+    mb = b0 * n0 + b1 * n1 + b2 * n2
+    e = ((a0 * t0[0] + a1 * t1[0] + a2 * t2[0]) * b0 + (a0 * t0[1] + a1 * t1[1] + a2 * t2[1]) * b1
+         + (a0 * t0[2] + a1 * t1[2] + a2 * t2[2]) * b2)
     # max clips float noise at the edges like np.clip (they differ only at -0.0, which none of these is).
-    p = [max(x, 0.0) for x in (1.0 + ma + mb + e, 1.0 + ma - mb - e, 1.0 - ma + mb - e, 1.0 - ma - mb + e)]
-    total = p[0] + p[1] + p[2] + p[3]  # 4 up to rounding; left to right, as numpy sums 4 floats
-    return JointProbabilities(*(x / total for x in p))
+    p0, p1, p2, p3 = (max(x, 0.0) for x in (1.0 + ma + mb + e, 1.0 + ma - mb - e,
+                                            1.0 - ma + mb - e, 1.0 - ma - mb + e))
+    total = p0 + p1 + p2 + p3  # 4 up to rounding, summed left to right
+    return JointProbabilities(p0 / total, p1 / total, p2 / total, p3 / total)
 
 
 def joint_probabilities(state: TwoQubitState, a: UnitVector3, b: UnitVector3) -> JointProbabilities:
     """Born-rule outcome probabilities with projectors (I +- n.sigma)/2 per side."""
-    return born_probabilities(correlation_tensor(state), a.as_array(), b.as_array())
+    return born_probabilities(correlation_tensor(state), (a.x, a.y, a.z), (b.x, b.y, b.z))
 
 
 def chsh_combination(p, form: str):

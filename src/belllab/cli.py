@@ -37,7 +37,7 @@ from .chsh import (
     gisin_settings,
     max_violation,
 )
-from .agr import ExperimentConfig, misalignment_for_damping, run_experiment
+from .agr import ExperimentConfig, InsufficientDataError, misalignment_for_damping, run_experiment
 from .lhv import BUILTIN_MODELS, chsh_lhv, estimate_correlation
 from .regions import MAX_GRID_N, Plane, scan_region, write_grid_csv, write_grid_json
 
@@ -294,7 +294,10 @@ def cmd_agr(args: argparse.Namespace) -> int:
         misalignment_sigma=sigma if sigma is not None else 0.0,
         seed=args.seed,
     )
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except InsufficientDataError as exc:
+        raise ValueError("no coincidences recorded at " + ", ".join(f"({PAIR_LABELS[i]})" for i in exc.runs)) from None
     counts = [{"pair": label, **vars(c)} for label, c in zip(PAIR_LABELS, report.counts)]
     fields = [
         ("seed", cfg.seed, []),

@@ -226,15 +226,36 @@ def per_pair_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> Coi
     return CoincidenceCounts(*(int(c) for c in tallies), n_pairs=n)
 
 
-def four_cell_counts(cfg, a: UnitVector3, b: UnitVector3, stream: int = 0) -> CoincidenceCounts:
-    """Efficiency-1 run as one multinomial over the four mean probabilities alone.
+def four_cell_counts(cfg) -> tuple[CoincidenceCounts, ...]:
+    """Efficiency-1 runs as one multinomial over the four mean probabilities alone per orientation pair.
 
-    The oracle of agr.simulate_run's five-cell draw at efficiency 1, where the
-    unrecorded cell has probability 0 and must leave the stream untouched.
+    The oracle of agr's five-cell draw at efficiency 1, where the unrecorded
+    cell has probability 0 and must leave the stream untouched: one
+    default_rng(cfg.seed) draws the pairs() in order, one call each.
     """
-    p = np.array(mean_probabilities(cfg, a, b).as_tuple())
-    counts = np.random.default_rng([cfg.seed, stream]).multinomial(cfg.n_pairs, p)
-    return CoincidenceCounts(*(int(c) for c in counts), n_pairs=cfg.n_pairs)
+    rng = np.random.default_rng(cfg.seed)
+    return tuple(CoincidenceCounts(*rng.multinomial(cfg.n_pairs, mean_probabilities(cfg, a, b).as_tuple()).tolist(),
+                                   n_pairs=cfg.n_pairs) for a, b in cfg.settings.pairs())
+
+
+def reference_run_counts(cfg, born=None) -> tuple[CoincidenceCounts, ...]:
+    """agr.run_experiment's counts as sequential one-row multinomials from one default_rng(cfg.seed).
+
+    Each orientation pair, in pairs() order, forms its own correlation tensor and
+    its own row [1 - eff^2, eff^2 * p_ij] from ``born`` (by default the
+    generic-numpy route reference_born_probabilities), and draws it with its own
+    call, where agr draws all four rows in one.
+    """
+    born = born or reference_born_probabilities
+    rng = np.random.default_rng(cfg.seed)
+    k = math.exp(-0.5 * min(cfg.misalignment_sigma, 40.0) ** 2)
+    both = cfg.efficiency * cfg.efficiency
+    runs = []
+    for a, b in cfg.settings.pairs():
+        p = born(correlation_tensor(cfg.state), k * a.as_array(), k * b.as_array())
+        _, *recorded = rng.multinomial(cfg.n_pairs, [1.0 - both, *(both * x for x in p.as_tuple())]).tolist()
+        runs.append(CoincidenceCounts(*recorded, n_pairs=cfg.n_pairs))
+    return tuple(runs)
 
 
 # ------------------------------------------------ trigonometric sphere sampler

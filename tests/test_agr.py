@@ -22,9 +22,11 @@ from belllab import (
     run_experiment,
     simulate_run,
 )
+from belllab import agr
 from belllab.agr import mean_probabilities
-from helpers import (four_cell_counts, kron_probabilities, per_pair_counts, random_state,
-                     random_unit_vector)
+from belllab.chsh import born_probabilities
+from helpers import (four_cell_counts, kron_probabilities, per_pair_counts, random_settings, random_state,
+                     random_unit_vector, reference_run_counts)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -78,12 +80,13 @@ class TestSimulateRun:
         # pairs at n_pairs = 2**63 - 1 for about a quarter of random cases.
         rng = np.random.default_rng(43)
         for seed in range(20):
-            a, b = random_unit_vector(rng), random_unit_vector(rng)
-            cfg = ExperimentConfig(state=random_state(rng), settings=OPTIMAL, n_pairs=n_pairs,
+            settings = MeasurementSettings(*(random_unit_vector(rng) for _ in range(4)))
+            cfg = ExperimentConfig(state=random_state(rng), settings=settings, n_pairs=n_pairs,
                                    misalignment_sigma=sigma, seed=seed)
-            counts = simulate_run(cfg, a, b, stream=seed % 4)
-            assert counts == four_cell_counts(cfg, a, b, stream=seed % 4)
-            assert counts.total() == n_pairs
+            counts = run_experiment(cfg).counts
+            assert counts == four_cell_counts(cfg)
+            assert simulate_run(cfg, settings.a, settings.b) == counts[0]
+            assert all(c.total() == n_pairs for c in counts)
 
     def test_efficiency_thins_counts(self):
         cfg = ideal_config(n_pairs=100_000, efficiency=0.5)
@@ -105,10 +108,14 @@ class TestSimulateRun:
         assert simulate_run(cfg, OPTIMAL.a, OPTIMAL.b) == simulate_run(cfg, OPTIMAL.a, OPTIMAL.b)
 
     def test_streams_are_independent(self):
-        cfg = ideal_config(n_pairs=50_000, seed=12)
-        assert simulate_run(cfg, OPTIMAL.a, OPTIMAL.b, stream=0) != simulate_run(
-            cfg, OPTIMAL.a, OPTIMAL.b, stream=1
-        )
+        # One generator per run: its four rows draw from successive parts of the stream,
+        # so four runs at one orientation pair still get counts of their own.
+        settings = MeasurementSettings(OPTIMAL.a, OPTIMAL.b, OPTIMAL.a, OPTIMAL.b)
+        cfg = ExperimentConfig(state=SINGLET, settings=settings, n_pairs=50_000, seed=12)
+        counts = run_experiment(cfg).counts
+        assert len(set(counts)) == 4
+        assert simulate_run(cfg, OPTIMAL.a, OPTIMAL.b) == counts[0]
+        assert simulate_run(replace(cfg, seed=13), OPTIMAL.a, OPTIMAL.b) != counts[0]
 
     def test_misaligned_probabilities_match_born_rule(self):
         # The mean-probability sampler and joint_probabilities agree: the
@@ -279,6 +286,17 @@ class TestEstimateE:
         with pytest.raises(InsufficientDataError):
             estimate_E(CoincidenceCounts(0, 0, 0, 0, n_pairs=10))
 
+    @pytest.mark.parametrize("empty", [(0,), (1, 2), (0, 3), (0, 1, 2, 3)])
+    def test_empty_runs_are_named(self, empty):
+        # Used to say "all coincidence counts are zero" whenever any one run was empty.
+        counts = [CoincidenceCounts(0, 0, 0, 0, n_pairs=10) if i in empty else CoincidenceCounts(2, 1, 0, 3, 10)
+                  for i in range(4)]
+        with pytest.raises(InsufficientDataError, match="position " + ", ".join(map(str, empty)) + "$") as info:
+            agr._correlators(counts)
+        assert info.value.runs == empty
+        with pytest.raises(InsufficientDataError, match="position 0$"):
+            estimate_E(counts[empty[0]])
+
     def test_converges_to_quantum_correlation(self):
         rng = np.random.default_rng(39)
         for seed in range(20):
@@ -348,7 +366,7 @@ class TestExactRounding:
             cfg = ExperimentConfig(state=random_state(rng), settings=settings,
                                    n_pairs=int(10 ** rng.uniform(1.0, 6.0)), efficiency=rng.uniform(0.5, 1.0),
                                    misalignment_sigma=rng.uniform(0.0, 0.5), seed=seed)
-            counts = tuple(simulate_run(cfg, a, b, stream=i) for i, (a, b) in enumerate(settings.pairs()))
+            counts = reference_run_counts(cfg)
             if any(c.total() == 0 for c in counts):
                 with pytest.raises(InsufficientDataError):
                     run_experiment(cfg)
@@ -361,6 +379,34 @@ class TestExactRounding:
             assert report.s.std_error == math.sqrt(float(sum(var)))
             for got, x, v, c in zip(report.s.correlations(), e, var, counts):
                 assert (got.value, got.std_error, got.n_samples) == (float(x), math.sqrt(float(v)), c.total())
+
+
+class TestOneDrawPerRun:
+    """run_experiment's one multinomial over four rows against sequential one-row draws (helpers)."""
+
+    @pytest.mark.parametrize("n_pairs", [1, 10 ** 7, 2 ** 63 - 1])
+    @pytest.mark.parametrize("sigma", [0.0, 0.2146, 50.0])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.8, 1e-3])
+    def test_counts_match_the_sequential_reference(self, efficiency, sigma, n_pairs):
+        # The reference forms its rows through the generic-numpy Born route, whose last bit differs
+        # from born_probabilities' in about a third of dot products.  At 2**63 - 1 pairs one ulp
+        # moves a mean count by hundreds, so there the reference takes the package's rows and
+        # checks the draw alone; the rows themselves are bounded in test_chsh.
+        born = born_probabilities if n_pairs == 2 ** 63 - 1 else None
+        rng = np.random.default_rng([72, n_pairs % 1000, int(sigma * 1e4), int(efficiency * 1e3)])
+        for _ in range(112):
+            settings = random_settings(rng)
+            cfg = ExperimentConfig(state=random_state(rng), settings=settings, n_pairs=n_pairs,
+                                   efficiency=efficiency, misalignment_sigma=sigma, seed=int(rng.integers(2 ** 63)))
+            want = reference_run_counts(cfg, born)
+            assert simulate_run(cfg, settings.a, settings.b) == want[0]
+            empty = tuple(i for i, c in enumerate(want) if c.total() == 0)
+            if empty:
+                with pytest.raises(InsufficientDataError) as info:
+                    run_experiment(cfg)
+                assert info.value.runs == empty
+            else:
+                assert run_experiment(cfg).counts == want
 
 
 class TestCoincidenceCounts:

@@ -7,7 +7,7 @@ import shlex
 
 import pytest
 
-from belllab import Correlators, canonical_coefficients, cli
+from belllab import Correlators, agr, canonical_coefficients, cli
 from belllab.cli import build_parser, main
 from belllab.regions import MAX_GRID_N, Plane, scan_region
 from helpers import reference_grid_csv, reference_grid_json
@@ -374,6 +374,14 @@ class TestAgrCommand:
         rc, _, err = run_cli(capsys, "agr", "--pairs", str(2 ** 64))
         assert rc == 2
         assert "n_pairs" in err
+
+    def test_runs_without_coincidences_are_named(self, capsys, monkeypatch):
+        # Used to say "all coincidence counts are zero" whenever any one run was empty.
+        empty, full = agr.CoincidenceCounts(0, 0, 0, 0, n_pairs=10), agr.CoincidenceCounts(1, 0, 0, 1, n_pairs=10)
+        counts = (empty, full, full, empty)
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: agr.ExperimentReport(counts, agr._correlators(counts)))
+        rc, out, err = run_cli(capsys, "agr", "--pairs", "10")
+        assert (rc, out, err) == (2, "", "belllab: error: no coincidences recorded at (a,b), (a',b')\n")
 
     def test_csv_format(self, capsys, tmp_path):
         # Used to print nothing and exit 0.

@@ -19,11 +19,14 @@ import io
 import json
 import os
 import pathlib
+import platform
+import subprocess
 import sys
 import tempfile
 
 import pytest
 
+import belllab
 from belllab.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -87,6 +90,15 @@ def run_case(argv: list[str], workdir: pathlib.Path) -> dict:
     }
 
 
+def run_cases(cases) -> dict:
+    """Records of the named cases, each run in its own empty working directory."""
+    records = {}
+    for case in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            records[case] = run_case(CASES[case], pathlib.Path(tmp))
+    return records
+
+
 def golden_path(case: str) -> pathlib.Path:
     return GOLDEN_DIR / f"{case}.json"
 
@@ -102,13 +114,35 @@ def test_no_stale_goldens():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(CASES)
 
 
+# Seeded agr and lhv reports must not depend on the BLAS kernel or the SIMD level that numpy
+# picks by CPU at run time (ROADMAP item 19).  Each switch is set for one subprocess only.  The
+# chsh cases stay out: correlation_matrix's np.vdot still moves a P under the Haswell kernel.
+KERNEL_SWITCHES = {
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy_without_avx2_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="the switches name x86 kernels")
+@pytest.mark.parametrize("switch", sorted(KERNEL_SWITCHES))
+def test_agr_and_lhv_goldens_under_other_kernels(switch):
+    cases = sorted(case for case, argv in CASES.items() if argv[0] in ("agr", "lhv"))
+    path = [str(pathlib.Path(__file__).parent), str(pathlib.Path(belllab.__file__).parents[1])]
+    env = {**os.environ, **KERNEL_SWITCHES[switch], "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("BELLLAB_SEED", None)
+    script = "import json, sys, test_cli_golden; print(json.dumps(test_cli_golden.run_cases(sys.argv[1:])))"
+    done = subprocess.run([sys.executable, "-c", script, *cases], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    records = json.loads(done.stdout)
+    assert sorted(records) == cases
+    for case in cases:
+        assert records[case] == json.loads(golden_path(case).read_text()), case
+
+
 if __name__ == "__main__":
     os.environ.pop("BELLLAB_SEED", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    records = {}
-    for case, argv in CASES.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            records[case] = run_case(argv, pathlib.Path(tmp))
+    records = run_cases(CASES)
     stored = {p.stem: json.loads(p.read_text()) for p in GOLDEN_DIR.glob("*.json")}
     changed = sorted(case for case, record in records.items() if stored.get(case) != record)
     stale = sorted(set(stored) - set(CASES))
